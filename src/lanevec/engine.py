@@ -12,12 +12,21 @@ Evaluation of one expression follows a fixed shape:
     reduction                     reduction roots only
 
 Two interchangeable executors implement that shape. The stepped executor
-drives the node contract call by call and is what `call_trace` records.
-The block executor coalesces each package into one contiguous array
-operation per node; it is the default because interpreter overhead, not
-arithmetic, dominates here. Both commit elements in the same order and
-accumulate reductions in the same order, so their results are bit
-identical; the test suite pins that equivalence.
+drives the node contract call by call and is what `call_trace` records;
+packages shape only its bursts and its trace. The block executor is the
+default, because interpreter overhead, not arithmetic, dominates here. It
+runs the main loop in strips of STRIP_ITERATIONS iterations, one
+contiguous array operation per node per strip:
+
+- an assignment strip is computed in full before it is written, so a
+  destination that is also a source leaf stays safe;
+- a reduction strip fills the rows of a buffer whose first row holds the
+  slot accumulators, and one fold down the rows adds each lane's terms in
+  iteration order.
+
+Neither executor makes a temporary longer than one strip. Both commit
+elements in the same order and accumulate every lane in the same order,
+so their results are bit identical; the test suite pins that equivalence.
 """
 
 from collections import namedtuple
@@ -38,10 +47,15 @@ __all__ = [
     "TraceEvent",
     "UNROLL_FACTORS",
     "DEFAULT_REGISTER_BUDGET",
+    "STRIP_ITERATIONS",
 ]
 
 UNROLL_FACTORS = (1, 2, 4, 8)
 DEFAULT_REGISTER_BUDGET = 16
+# Main-loop iterations the block executor evaluates per strip. At U8 on the
+# default 16-lane f32 backend a strip is 8192 elements, 32 KiB per
+# temporary, so a strip's temporaries stay in L2.
+STRIP_ITERATIONS = 64
 
 
 class PlanError(ValueError):
@@ -59,7 +73,8 @@ class UnrollPlan:
     unroll: slots (lane vectors) processed per main-loop iteration.
     width: lanes per slot, taken from the backend.
     packages: load/op/store burst groups per iteration; each package
-        covers unroll/packages consecutive slots.
+        covers unroll/packages consecutive slots. Only the stepped
+        executor runs packages; they never change a result.
     masked_length: largest multiple of unroll*width not exceeding the
         vector length; the main loop stops there and the scalar remainder
         loop finishes the tail.
@@ -241,55 +256,46 @@ def _run_stepped(root, backend, plan, length, reduce_root, trace=None):
 
 
 def _run_block_assign(root, backend, plan, length):
-    span_elems = plan.slots_per_package * plan.width
-    block = plan.block
-    packages = plan.packages
     n = plan.masked_length
+    strip = STRIP_ITERATIONS * plan.block
     commit = root.block_commit
     ts = root.make_temporary(backend)
     root.init(ts)
-    i = 0
-    if packages == 1:
-        while i < n:
-            commit(i, i + block)
-            i += block
-    else:
-        while i < n:
-            for p in range(packages):
-                lo = i + p * span_elems
-                commit(lo, lo + span_elems)
-            i += block
+    for lo in range(0, n, strip):
+        commit(lo, min(lo + strip, n))
     for j in range(n, length):
         root.single_op(j, ts)
     root.cleanup(ts)
 
 
 def _run_block_reduce(root, backend, plan, length):
-    span_elems = plan.slots_per_package * plan.width
     block = plan.block
-    packages = plan.packages
     n = plan.masked_length
-    accumulate = root.block_accumulate
+    strip = STRIP_ITERATIONS * block
+    terms = root.child.block_op
     ts = root.make_temporary(backend)
     root.init(ts)
-    # flat accumulator: lanes of slot s live at [s*width, (s+1)*width)
-    acc = np.zeros(block, dtype=root.dtype)
-    i = 0
-    if packages == 1:
-        while i < n:
-            accumulate(i, i + block, acc)
-            i += block
-    else:
-        while i < n:
-            for p in range(packages):
-                lo = p * span_elems
-                accumulate(i + lo, i + lo + span_elems, acc[lo : lo + span_elems])
-            i += block
+    # Row 0 holds the flat slot-accumulator lanes (slot s at
+    # [s*width, (s+1)*width)); a strip's terms fill the rows below it, one
+    # main-loop iteration per row, and a fold down the rows adds them to
+    # each lane in iteration order.
+    buf = np.zeros((min(STRIP_ITERATIONS, n // block) + 1, block), dtype=root.dtype)
+    for lo in range(0, n, strip):
+        hi = min(lo + strip, n)
+        rows = (hi - lo) // block
+        buf[1 : rows + 1] = terms(lo, hi).reshape(rows, block)
+        if block > 1:
+            buf[0] = np.add.reduce(buf[: rows + 1], axis=0)
+        else:
+            # a (rows, 1) buffer collapses to 1-D, where add.reduce sums
+            # pairwise; accumulate stays sequential
+            buf[0] = np.add.accumulate(buf[: rows + 1], axis=0)[-1]
     for j in range(n, length):
         root.single_op(j, ts)
     root.cleanup(ts)
-    rows = list(acc.reshape(plan.unroll, plan.width))
-    return combine_partials(rows, root.remainder_total(ts))
+    return combine_partials(
+        buf[0].reshape(plan.unroll, plan.width), root.remainder_total(ts)
+    )
 
 
 def execute_assign(

@@ -24,7 +24,9 @@ be evaluated concurrently from several threads.
 import numbers
 import operator
 
-from .lanes import LaneVector, horizontal_sum
+import numpy as np
+
+from .lanes import LaneVector
 
 __all__ = [
     "Expression",
@@ -148,13 +150,11 @@ class Expression:
 class Leaf(Expression):
     """Direct view of a vector container."""
 
-    __slots__ = ("vector", "dtype", "_read_block")
+    __slots__ = ("vector", "dtype")
 
     def __init__(self, vector):
         self.vector = vector
         self.dtype = vector.dtype
-        # bound once; the block loop calls this every iteration
-        self._read_block = vector.read_block
 
     @property
     def register_footprint(self) -> int:
@@ -179,7 +179,7 @@ class Leaf(Expression):
         return self.vector.read_element(i)
 
     def block_op(self, lo, hi):
-        return self._read_block(lo, hi)
+        return self.vector.read_block(lo, hi)
 
     def __repr__(self):
         return f"Leaf({self.vector!r})"
@@ -332,7 +332,7 @@ class AssignNode(Expression):
     overlap at a shifted offset is unsupported and unchecked.
     """
 
-    __slots__ = ("dest", "source", "dtype", "_write_block", "_source_block_op")
+    __slots__ = ("dest", "source", "dtype")
 
     def __init__(self, dest: Leaf, source: Expression):
         if not isinstance(dest, Leaf):
@@ -344,8 +344,6 @@ class AssignNode(Expression):
         self.dest = dest
         self.source = source
         self.dtype = dest.dtype
-        self._write_block = dest.vector.write_block
-        self._source_block_op = source.block_op
 
     @property
     def register_footprint(self) -> int:
@@ -392,7 +390,7 @@ class AssignNode(Expression):
     def block_commit(self, lo, hi):
         # The source block is fully materialized before the write, which is
         # what makes the exact-aliasing case safe.
-        self._write_block(lo, hi, self._source_block_op(lo, hi))
+        self.dest.vector.write_block(lo, hi, self.source.block_op(lo, hi))
 
     def __repr__(self):
         return f"Assign({self.dest!r} <- {self.source!r})"
@@ -405,15 +403,15 @@ class SumNode(Expression):
     a scalar accumulator in temporary storage. `reduction` folds slot
     accumulators in ascending slot order, lanes left to right within each,
     then adds the remainder last, so a result is reproducible for a fixed
-    plan.
+    plan. The block executor keeps the slot accumulators itself and reads
+    the summands a strip at a time through `child.block_op`.
     """
 
-    __slots__ = ("child", "dtype", "_child_block_op")
+    __slots__ = ("child", "dtype")
 
     def __init__(self, child: Expression):
         self.child = child
         self.dtype = child.dtype
-        self._child_block_op = child.block_op
 
     @property
     def register_footprint(self) -> int:
@@ -454,12 +452,6 @@ class SumNode(Expression):
     def reduction(self, slots, ts):
         return combine_partials([s[0].value.lanes for s in slots], ts[0].value)
 
-    def block_accumulate(self, lo, hi, acc):
-        # acc is the flat run of slot-accumulator lanes covering this
-        # package; flat indexing keeps the per-lane add order identical to
-        # the per-slot formulation while avoiding a reshape per iteration
-        acc += self._child_block_op(lo, hi)
-
     def remainder_total(self, ts):
         return ts[0].value
 
@@ -469,15 +461,14 @@ class SumNode(Expression):
 
 def combine_partials(rows, remainder):
     """Fold per-slot lane accumulators plus the scalar remainder, in the
-    documented fixed order. Shared by both execution paths so they agree
-    bit for bit."""
-    total = None
-    for row in rows:
-        h = horizontal_sum(LaneVector(row))
-        total = h if total is None else total + h
-    if total is None:
+    documented fixed order: each row's lanes left to right, the row totals
+    in slot order, then the remainder. Shared by both execution paths so
+    they agree bit for bit."""
+    if len(rows) == 0:
         return remainder
-    return total + remainder
+    # cumsum adds strictly in sequence; np.sum would add pairwise
+    row_totals = np.cumsum(rows, axis=1)[:, -1]
+    return np.cumsum(row_totals)[-1] + remainder
 
 
 def common_length(root: Expression) -> int:

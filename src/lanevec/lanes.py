@@ -163,11 +163,8 @@ def horizontal_sum(v: LaneVector):
     The fixed order makes reductions reproducible across backends of equal
     width; it intentionally matches a plain sequential loop over the lanes.
     """
-    lanes = v.lanes
-    acc = lanes[0]
-    for k in range(1, lanes.shape[0]):
-        acc = acc + lanes[k]
-    return acc
+    # cumsum adds strictly in sequence; np.sum would add pairwise
+    return np.cumsum(v.lanes)[-1]
 
 
 def scalar_backend(dtype) -> LaneBackend:

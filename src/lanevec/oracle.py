@@ -42,13 +42,13 @@ def oracle_scal(alpha, x) -> list:
     return [alpha * x[i] for i in range(len(x))]
 
 
+# Out-of-place scaling computes the same values as in-place scaling.
+oracle_scaled_copy = oracle_scal
+
+
 def oracle_axpy(alpha, x, y) -> list:
     _check_same_length(x, y)
     return [y[i] + alpha * x[i] for i in range(len(x))]
-
-
-def oracle_scaled_copy(alpha, x) -> list:
-    return [alpha * x[i] for i in range(len(x))]
 
 
 def kahan_sum(values):

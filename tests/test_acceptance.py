@@ -52,9 +52,35 @@ def _random_lengths(count=10, lo=130, hi=100000):
 LENGTHS = list(range(130)) + _random_lengths()
 
 
-def rel_tol(dtype, n: int) -> float:
-    base = 1e-6 if as_dtype(dtype) == np.dtype(np.float32) else 1e-12
-    return max(base, 4 * n * float(np.finfo(as_dtype(dtype)).eps))
+def unit_roundoff(dtype) -> float:
+    return float(np.finfo(as_dtype(dtype)).eps) / 2
+
+
+def sum_error_bound(dtype, n: int, block: int, magnitude: float) -> float:
+    """Blocked-summation bound gamma_k * sum |t_i| on the error of the
+    engine's sum of n terms t_i in U*W lane accumulators (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 4.2).
+
+    Each term passes through at most k = n/(U*W) + U*W + tail + 2
+    roundings: its lane accumulator, the lane and slot fold, the scalar
+    tail and the final add, with a few to spare for the reference's own
+    rounding to float64.
+    """
+    u = unit_roundoff(dtype)
+    k = n / block + block + n % block + 2
+    return k * u / (1 - k * u) * magnitude
+
+
+def within_bound(op, dtype, n: int, block: int, got, ref) -> bool:
+    """got lies within the blocked-summation bound of the exact result."""
+    exact, magnitude = ref
+    bound = sum_error_bound(dtype, n, block, magnitude)
+    if op == "norm2" and exact > 0:
+        # r = fl(sqrt(s)) with |s - S| <= B gives
+        # |r - sqrt(S)| <= B/sqrt(S) + u*(sqrt(S) + B/sqrt(S))
+        root = math.sqrt(exact)
+        exact, bound = root, bound / root + unit_roundoff(dtype) * (root + bound / root)
+    return abs(float(got) - exact) <= bound
 
 
 _sources = {}
@@ -79,8 +105,9 @@ _references = {}
 
 
 def reference(op, dtype, n):
-    """Oracle result: scalar loops for elementwise ops, exactly compensated
-    (fsum) summation of the element-typed products for reductions."""
+    """Oracle result: scalar loops for elementwise ops; for reductions, the
+    exactly compensated (fsum) sum of the element-typed terms and of their
+    magnitudes (norm2's terms are the squares)."""
     key = (op, dtype, n)
     if key not in _references:
         dt = as_dtype(dtype)
@@ -92,12 +119,10 @@ def reference(op, dtype, n):
             ref = np.array(oracle_axpy(a, list(x), list(y)), dtype=dt).tobytes()
         elif op == "scaled_copy":
             ref = np.array(oracle_scaled_copy(a, list(x)), dtype=dt).tobytes()
-        elif op == "dot":
-            ref = math.fsum((x * y).astype(np.float64).tolist())
-        elif op == "sum":
-            ref = math.fsum(x.astype(np.float64).tolist())
-        elif op == "norm2":
-            ref = math.sqrt(math.fsum((x * x).astype(np.float64).tolist()))
+        else:
+            terms = {"dot": x * y, "sum": x, "norm2": x * x}[op]
+            terms = terms.astype(np.float64).tolist()
+            ref = (math.fsum(terms), math.fsum(map(abs, terms)))
         _references[key] = ref
     return _references[key]
 
@@ -142,12 +167,10 @@ def test_criterion_1_oracle_equivalence():
                         got = run_engine(op, dtype, n, backend, unroll)
                         if op in ELEMENTWISE:
                             assert got == ref, (op, dtype, n, backend, unroll)
-                        elif ref == 0.0:
-                            assert float(got) == 0.0, (op, dtype, n)
                         else:
-                            err = abs(float(got) - ref) / abs(ref)
-                            assert err <= rel_tol(dtype, n), (
-                                op, dtype, n, backend, unroll, err,
+                            block = unroll * backend.width
+                            assert within_bound(op, dtype, n, block, got, ref), (
+                                op, dtype, n, backend, unroll, got, ref,
                             )
                         checked += 1
     elapsed = time.perf_counter() - started
@@ -266,13 +289,34 @@ def test_criterion_6_unroll_invariance():
                     run_engine("dot", dtype, n, backend, unroll)
                 )
             assert len(set(results.values())) == 1, (dtype, n)
-            anchor = reductions[1]
+            # each result is within its own bound of the exact sum, so two
+            # results are within the sum of their bounds of each other
+            _, magnitude = reference("dot", dtype, n)
+            anchor_bound = sum_error_bound(dtype, n, backend.width, magnitude)
             for unroll in UNROLLS:
-                err = abs(reductions[unroll] - anchor) / abs(anchor)
-                assert err <= rel_tol(dtype, n), (dtype, n, unroll, err)
+                bound = sum_error_bound(dtype, n, unroll * backend.width, magnitude)
+                err = abs(reductions[unroll] - reductions[1])
+                assert err <= bound + anchor_bound, (dtype, n, unroll, err)
     print(
         "[criterion 6] PASS: elementwise results bit-identical and reductions "
         "within tolerance across unroll 1, 2, 4, 8 at fixed width"
+    )
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_reduction_error_bound_at_large_n(dtype):
+    n = 1 << 20
+    ref = reference("dot", dtype, n)
+    for backend in (scalar_backend(dtype), wide_backend(dtype)):
+        for unroll in UNROLLS:
+            got = run_engine("dot", dtype, n, backend, unroll)
+            block = unroll * backend.width
+            assert within_bound("dot", dtype, n, block, got, ref), (
+                backend, unroll, got, ref,
+            )
+    print(
+        f"[reduction bound] PASS: {dtype} dot at n=2^20 within the "
+        f"blocked-summation bound for 2 backends x 4 unroll factors"
     )
 
 

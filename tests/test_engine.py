@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lanevec.engine import (
     DEFAULT_REGISTER_BUDGET,
+    STRIP_ITERATIONS,
     PlanError,
     UnrollPlan,
     call_trace,
@@ -13,6 +16,8 @@ from lanevec.engine import (
 )
 from lanevec.expressions import AssignNode, ScaleNode, SumNode, as_node
 from lanevec.lanes import scalar_backend, wide_backend
+from lanevec.ops import axpy, dot
+from lanevec.ops import sum as vec_sum
 from lanevec.oracle import oracle_axpy, oracle_dot
 from lanevec.vectors import DenseVector
 
@@ -304,6 +309,65 @@ def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
             r_step = execute_reduce(make_dot(x, y), stepped=True, **opts)
             assert r_block.tobytes() == r_step.tobytes()
             assert type(r_block) is type(r_step)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("unroll", UNROLLS)
+@pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
+def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
+    backend = backend_of(dtype)
+    block = unroll * backend.width
+    s = STRIP_ITERATIONS * block
+    for n in (s - 1, s, s + 1, 2 * s + block - 1, 3 * s + 5):
+        x, y = fresh_pair(n, dtype, seed=n)
+        source = as_node(x) + ScaleNode(0.75, as_node(y))
+        for packages in sorted({1, unroll}):
+            opts = dict(backend=backend, unroll=unroll, packages=packages)
+            d_block = DenseVector.zeros(n, dtype)
+            d_step = DenseVector.zeros(n, dtype)
+            execute_assign(AssignNode(as_node(d_block), source), **opts)
+            execute_assign(AssignNode(as_node(d_step), source), stepped=True, **opts)
+            got, want = d_block.to_array().tobytes(), d_step.to_array().tobytes()
+            assert got == want, (n, packages)
+
+            r_block = execute_reduce(make_dot(x, y), **opts)
+            r_step = execute_reduce(make_dot(x, y), stepped=True, **opts)
+            assert r_block.tobytes() == r_step.tobytes(), (n, packages)
+            assert type(r_block) is type(r_step) is backend.dtype.type
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_block_executor_makes_no_full_length_temporary(dtype):
+    n = 1 << 20
+    rng = np.random.default_rng(11)
+    x, y, z, w = (
+        DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for _ in range(4)
+    )
+    out = DenseVector.zeros(n, dtype)
+    a, b = 0.5, -1.5
+    spill = ((x + y) * (z - w) + (x * z - y * w)) * (
+        (y + z) * (w - x) - (a * x + b * w)
+    )
+    # 17 registers: over the budget of 16, so the plan falls back to U1
+    footprint = AssignNode(as_node(out), spill).register_footprint
+    assert footprint == DEFAULT_REGISTER_BUDGET + 1
+    calls = {
+        "dot": lambda: dot(x, y),
+        "sum": lambda: vec_sum(x),
+        "axpy": lambda: axpy(0.25, x, y),
+        "spill tree": lambda: out.assign(spill),
+    }
+    limit = 256 * 1024
+    operand = n * x.dtype.itemsize
+    for name, call in calls.items():
+        call()  # keep first-call costs out of the measurement
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, f"{name}: peak {peak} B, operand {operand} B"
 
 
 def test_packages_do_not_change_results():
