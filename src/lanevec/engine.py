@@ -13,20 +13,24 @@ Evaluation of one expression follows a fixed shape:
 
 Two interchangeable executors implement that shape. The stepped executor
 drives the node contract call by call and is what `call_trace` records;
-packages shape only its bursts and its trace. The block executor is the
-default, because interpreter overhead, not arithmetic, dominates here. It
-runs the main loop in strips of STRIP_ITERATIONS iterations, one
-contiguous array operation per node per strip:
+packages shape only its bursts and its trace, and it is the only one that
+calls single_op. The block executor is the default, because interpreter
+overhead, not arithmetic, dominates here. It runs in strips of STRIP_BYTES
+bytes (STRIP_BYTES // itemsize elements, whatever U*W is), one contiguous
+array operation per node per strip:
 
 - an assignment strip is computed in full before it is written, so a
-  destination that is also a source leaf stays safe;
+  destination that is also a source leaf stays safe; the tail is just
+  the end of the last strip, since every result is elementwise;
 - a reduction strip fills the rows of a buffer whose first row holds the
   slot accumulators, and one fold down the rows adds each lane's terms in
-  iteration order.
+  iteration order; the tail's terms come from one more array operation
+  and are added in order to a remainder that starts at zero.
 
 Neither executor makes a temporary longer than one strip. Both commit
-elements in the same order and accumulate every lane in the same order,
-so their results are bit identical; the test suite pins that equivalence.
+elements in the same order and accumulate every lane and the remainder in
+the same order, so their results are bit identical; the test suite pins
+that equivalence.
 """
 
 from collections import namedtuple
@@ -47,15 +51,15 @@ __all__ = [
     "TraceEvent",
     "UNROLL_FACTORS",
     "DEFAULT_REGISTER_BUDGET",
-    "STRIP_ITERATIONS",
+    "STRIP_BYTES",
 ]
 
 UNROLL_FACTORS = (1, 2, 4, 8)
 DEFAULT_REGISTER_BUDGET = 16
-# Main-loop iterations the block executor evaluates per strip. At U8 on the
-# default 16-lane f32 backend a strip is 8192 elements, 32 KiB per
-# temporary, so a strip's temporaries stay in L2.
-STRIP_ITERATIONS = 64
+# Bytes of each temporary in one block-executor strip: 8192 f32 or 4096
+# f64 elements, so a strip's temporaries stay in L2. A main-loop iteration
+# is at most 8 slots of 64 bytes, so a strip always holds whole iterations.
+STRIP_BYTES = 32 * 1024
 
 
 class PlanError(ValueError):
@@ -255,31 +259,23 @@ def _run_stepped(root, backend, plan, length, reduce_root, trace=None):
     return None
 
 
-def _run_block_assign(root, backend, plan, length):
-    n = plan.masked_length
-    strip = STRIP_ITERATIONS * plan.block
+def _run_block_assign(root, length):
+    strip = STRIP_BYTES // root.dtype.itemsize
     commit = root.block_commit
-    ts = root.make_temporary(backend)
-    root.init(ts)
-    for lo in range(0, n, strip):
-        commit(lo, min(lo + strip, n))
-    for j in range(n, length):
-        root.single_op(j, ts)
-    root.cleanup(ts)
+    for lo in range(0, length, strip):
+        commit(lo, min(lo + strip, length))
 
 
-def _run_block_reduce(root, backend, plan, length):
+def _run_block_reduce(root, plan, length):
     block = plan.block
     n = plan.masked_length
-    strip = STRIP_ITERATIONS * block
+    strip = STRIP_BYTES // root.dtype.itemsize
     terms = root.child.block_op
-    ts = root.make_temporary(backend)
-    root.init(ts)
     # Row 0 holds the flat slot-accumulator lanes (slot s at
     # [s*width, (s+1)*width)); a strip's terms fill the rows below it, one
     # main-loop iteration per row, and a fold down the rows adds them to
     # each lane in iteration order.
-    buf = np.zeros((min(STRIP_ITERATIONS, n // block) + 1, block), dtype=root.dtype)
+    buf = np.zeros((min(strip, n) // block + 1, block), dtype=root.dtype)
     for lo in range(0, n, strip):
         hi = min(lo + strip, n)
         rows = (hi - lo) // block
@@ -290,12 +286,15 @@ def _run_block_reduce(root, backend, plan, length):
             # a (rows, 1) buffer collapses to 1-D, where add.reduce sums
             # pairwise; accumulate stays sequential
             buf[0] = np.add.accumulate(buf[: rows + 1], axis=0)[-1]
-    for j in range(n, length):
-        root.single_op(j, ts)
-    root.cleanup(ts)
-    return combine_partials(
-        buf[0].reshape(plan.unroll, plan.width), root.remainder_total(ts)
-    )
+    # The tail's terms are added in order to a remainder that starts at +0,
+    # as the stepped executor's single_op calls do, down to a zero's sign.
+    # An empty tail costs no array calls, as it costs no single_op calls.
+    remainder = root.dtype.type(0)
+    if length > n:
+        tail = np.zeros(length - n + 1, dtype=root.dtype)
+        tail[1:] = terms(n, length)
+        remainder = np.add.accumulate(tail)[-1]
+    return combine_partials(buf[0].reshape(plan.unroll, plan.width), remainder)
 
 
 def execute_assign(
@@ -314,7 +313,7 @@ def execute_assign(
     if stepped:
         _run_stepped(root, backend, plan, length, reduce_root=False)
     else:
-        _run_block_assign(root, backend, plan, length)
+        _run_block_assign(root, length)
 
 
 def execute_reduce(
@@ -332,7 +331,7 @@ def execute_reduce(
     length, backend, plan = _resolve(root, plan, backend, unroll, packages)
     if stepped:
         return _run_stepped(root, backend, plan, length, reduce_root=True)
-    return _run_block_reduce(root, backend, plan, length)
+    return _run_block_reduce(root, plan, length)
 
 
 def call_trace(

@@ -21,6 +21,7 @@ same way. Both are built fresh per evaluation, so one expression value can
 be evaluated concurrently from several threads.
 """
 
+import math
 import numbers
 import operator
 
@@ -42,6 +43,9 @@ __all__ = [
     "common_length",
     "combine_partials",
 ]
+
+
+_LARGEST_FINITE = {np.dtype(t): float(np.finfo(t).max) for t in (np.float32, np.float64)}
 
 
 class LengthMismatchError(ValueError):
@@ -272,14 +276,27 @@ class MulNode(_BinaryNode):
 
 class ScaleNode(Expression):
     """scalar * expression; the scalar is hoisted into a lane register once
-    per slot in load_once, never reloaded inside the loop."""
+    per slot in load_once, never reloaded inside the loop.
+
+    A finite alpha that rounds to inf in the element type raises
+    OverflowError when the node is built, before any element is touched;
+    an explicit inf or NaN alpha is kept and follows IEEE arithmetic.
+    """
 
     __slots__ = ("alpha", "child", "dtype")
 
     def __init__(self, alpha, child: Expression):
         self.child = child
         self.dtype = child.dtype
-        self.alpha = self.dtype.type(alpha)
+        if abs(float(alpha)) > _LARGEST_FINITE[self.dtype]:
+            # only here can the cast round to inf; errstate costs ~2 us, so
+            # it stays off the common path
+            with np.errstate(over="ignore"):
+                self.alpha = self.dtype.type(alpha)
+            if math.isinf(self.alpha) and math.isfinite(alpha):
+                raise OverflowError(f"scale factor {alpha!r} overflows {self.dtype}")
+        else:
+            self.alpha = self.dtype.type(alpha)
 
     @property
     def register_footprint(self) -> int:
@@ -399,12 +416,14 @@ class AssignNode(Expression):
 class SumNode(Expression):
     """Reduction root: sums the operand expression over all indices.
 
-    Each unroll slot keeps a lane accumulator; remainder elements add into
-    a scalar accumulator in temporary storage. `reduction` folds slot
-    accumulators in ascending slot order, lanes left to right within each,
-    then adds the remainder last, so a result is reproducible for a fixed
-    plan. The block executor keeps the slot accumulators itself and reads
-    the summands a strip at a time through `child.block_op`.
+    Each unroll slot keeps a lane accumulator; remainder elements add, in
+    index order, into a scalar accumulator that starts at +0 in temporary
+    storage. `reduction` folds slot accumulators in ascending slot order,
+    lanes left to right within each, then adds the remainder last, so a
+    result is reproducible for a fixed plan. The contract calls here are
+    the stepped executor's; the block executor keeps the accumulators
+    itself and reads the summands through `child.block_op`, a strip at a
+    time and the tail in one call.
     """
 
     __slots__ = ("child", "dtype")
@@ -451,9 +470,6 @@ class SumNode(Expression):
 
     def reduction(self, slots, ts):
         return combine_partials([s[0].value.lanes for s in slots], ts[0].value)
-
-    def remainder_total(self, ts):
-        return ts[0].value
 
     def __repr__(self):
         return f"Sum({self.child!r})"

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from lanevec.engine import (
     DEFAULT_REGISTER_BUDGET,
-    STRIP_ITERATIONS,
+    STRIP_BYTES,
     PlanError,
     UnrollPlan,
     call_trace,
@@ -15,8 +17,8 @@ from lanevec.engine import (
     select_plan,
 )
 from lanevec.expressions import AssignNode, ScaleNode, SumNode, as_node
-from lanevec.lanes import scalar_backend, wide_backend
-from lanevec.ops import axpy, dot
+from lanevec.lanes import as_dtype, scalar_backend, wide_backend
+from lanevec.ops import axpy, dot, scal
 from lanevec.ops import sum as vec_sum
 from lanevec.oracle import oracle_axpy, oracle_dot
 from lanevec.vectors import DenseVector
@@ -317,7 +319,7 @@ def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
 def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
     backend = backend_of(dtype)
     block = unroll * backend.width
-    s = STRIP_ITERATIONS * block
+    s = STRIP_BYTES // backend.dtype.itemsize
     for n in (s - 1, s, s + 1, 2 * s + block - 1, 3 * s + 5):
         x, y = fresh_pair(n, dtype, seed=n)
         source = as_node(x) + ScaleNode(0.75, as_node(y))
@@ -334,6 +336,92 @@ def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
             r_step = execute_reduce(make_dot(x, y), stepped=True, **opts)
             assert r_block.tobytes() == r_step.tobytes(), (n, packages)
             assert type(r_block) is type(r_step) is backend.dtype.type
+
+
+# (x, y) values put in the tail: one NaN or infinity in its middle, or -0.0
+# in every x and +0.0 in every y, so that each tail term of dot, sum and
+# x + 0.75*y is -0.0 (the assign's -0.0 + +0.0 is +0.0)
+TAIL_CASES = {
+    "nan": (np.nan, None),
+    "+inf": (np.inf, None),
+    "-inf": (-np.inf, None),
+    "-0.0": (-0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
+def test_array_tail_matches_single_op_tail(dtype, backend_of):
+    """The block executor evaluates the tail in one array call; the stepped
+    executor runs single_op per element. They agree bit for bit."""
+    backend = backend_of(dtype)
+    strip = STRIP_BYTES // backend.dtype.itemsize
+    for unroll in UNROLLS:
+        block = unroll * backend.width
+        for n in [*range(1, block), strip + 5]:
+            lo = masked_length(n, unroll, backend.width)
+            if lo == n:
+                continue  # U·W = 1 leaves no tail
+            for case, (xv, yv) in TAIL_CASES.items():
+                x, y = fresh_pair(n, dtype, seed=n)
+                if yv is None:
+                    x[(lo + n) // 2] = xv
+                else:
+                    for i in range(lo, n):
+                        x[i], y[i] = xv, yv
+                opts = dict(backend=backend, unroll=unroll)
+                where = (n, unroll, case)
+                for make in (lambda: make_dot(x, y), lambda: SumNode(as_node(x))):
+                    r_block = execute_reduce(make(), **opts)
+                    r_step = execute_reduce(make(), stepped=True, **opts)
+                    assert r_block.tobytes() == r_step.tobytes(), where
+                source = as_node(x) + ScaleNode(0.75, as_node(y))
+                d_block = DenseVector.zeros(n, dtype)
+                d_step = DenseVector.zeros(n, dtype)
+                execute_assign(AssignNode(as_node(d_block), source), **opts)
+                execute_assign(AssignNode(as_node(d_step), source), stepped=True, **opts)
+                got, want = d_block.to_array().tobytes(), d_step.to_array().tobytes()
+                assert got == want, where
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_one_tree_evaluated_from_four_threads(stepped):
+    n = 2 * (STRIP_BYTES // 4) + 7
+    x, y = fresh_pair(n, "f32", seed=3)
+    reduction = make_dot(x, y)
+    source = as_node(x) + ScaleNode(0.75, as_node(y))
+
+    want_sum = execute_reduce(reduction, stepped=stepped).tobytes()
+    single = DenseVector.zeros(n)
+    execute_assign(AssignNode(as_node(single), source), stepped=stepped)
+    want_assign = single.to_array().tobytes()
+
+    outs = [DenseVector.zeros(n) for _ in range(4)]
+    sums = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+    # a block call takes ~0.1 ms, so it needs many repeats to interleave
+    repeats = 3 if stepped else 200
+
+    def work(k):
+        start.wait(timeout=60)
+        for _ in range(repeats):
+            sums[k].append(execute_reduce(reduction, stepped=stepped).tobytes())
+            execute_assign(AssignNode(as_node(outs[k]), source), stepped=stepped)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(4):
+        assert sums[k] == [want_sum] * repeats, k
+        assert outs[k].to_array().tobytes() == want_assign, k
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -388,6 +476,22 @@ def test_exact_aliasing_source_equals_destination():
             AssignNode(as_node(x), ScaleNode(2.0, as_node(x))), stepped=stepped
         )
         assert x.to_values() == expected
+
+    # one whole strip, then a partial strip that ends in the scalar tail
+    for dtype in map(as_dtype, DTYPES):
+        n = STRIP_BYTES // dtype.itemsize + 5
+        values = np.random.default_rng([7, n]).uniform(-2, 2, n).astype(dtype)
+        a = dtype.type(-1.25)
+        cases = {
+            "axpy": (lambda x, **o: axpy(a, x, x, **o), values + a * values),
+            "scal": (lambda x, **o: scal(a, x, **o), a * values),
+            "x*x": (lambda x, **o: x.assign(x * x, **o), values * values),
+        }
+        for stepped in (False, True):
+            for name, (call, want) in cases.items():
+                x = DenseVector.from_values(values, dtype)
+                call(x, stepped=stepped)
+                assert x.to_array().tobytes() == want.tobytes(), (dtype, name, stepped)
 
 
 @pytest.mark.parametrize("stepped", [False, True])

@@ -49,6 +49,29 @@ def test_scal(dtype):
     assert x.to_values() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("alpha", [1e40, -1e40, 2**128])
+def test_scal_by_alpha_overflowing_f32_raises_and_leaves_x(alpha):
+    x = vec([0, 1, -2])
+    with pytest.raises(OverflowError):
+        scal(alpha, x)
+    assert x.to_values() == [0, 1, -2]
+    scal(alpha, vec([0, 1, -2], "f64"))  # finite in f64
+
+
+def test_scal_by_explicit_inf_or_nan_follows_ieee():
+    with np.errstate(invalid="ignore"):  # inf * 0 is an invalid operation
+        x = vec([0, 1, -2])
+        scal(np.inf, x)
+        assert np.isnan(x[0]) and x.to_values()[1:] == [np.inf, -np.inf]
+        x = vec([0, 1, -2])
+        scal(float("nan"), x)
+        assert np.isnan(x.to_array()).all()
+    # an alpha past the f32 maximum that still rounds to it is not an overflow
+    x = vec([1])
+    scal(3.4028235e38, x)
+    assert x[0] == np.finfo(np.float32).max
+
+
 def test_scal_by_one_is_bit_exact_identity():
     rng = np.random.default_rng(17)
     values = rng.uniform(-1, 1, 301).astype(np.float32)
