@@ -15,17 +15,19 @@ Two interchangeable executors implement that shape. The stepped executor
 drives the node contract call by call and is what `call_trace` records;
 packages shape only its bursts and its trace, and it is the only one that
 calls single_op. The block executor is the default, because interpreter
-overhead, not arithmetic, dominates here. It runs in strips of STRIP_BYTES
-bytes (STRIP_BYTES // itemsize elements, whatever U*W is), one contiguous
-array operation per node per strip:
+overhead, not arithmetic, dominates here. It runs in strips, one
+contiguous array operation per node per strip:
 
-- an assignment strip is computed in full before it is written, so a
-  destination that is also a source leaf stays safe; the tail is just
-  the end of the last strip, since every result is elementwise;
-- a reduction strip fills the rows of a buffer whose first row holds the
-  slot accumulators, and one fold down the rows adds each lane's terms in
-  iteration order; the tail's terms come from one more array operation
-  and are added in order to a remainder that starts at zero.
+- an assignment strip is STRIP_BYTES bytes (STRIP_BYTES // itemsize
+  elements, whatever U*W is) and is computed in full before it is
+  written, so a destination that is also a source leaf stays safe; the
+  tail is just the end of the last strip, since every result is
+  elementwise;
+- a reduction strip is STRIP_ITERATIONS main-loop iterations; it fills
+  the rows of a buffer whose first row holds the slot accumulators, and
+  one fold down the rows adds each lane's terms in iteration order; the
+  tail's terms come from one more array operation and are added in
+  order.
 
 Neither executor makes a temporary longer than one strip. Both commit
 elements in the same order and accumulate every lane and the remainder in
@@ -52,14 +54,20 @@ __all__ = [
     "UNROLL_FACTORS",
     "DEFAULT_REGISTER_BUDGET",
     "STRIP_BYTES",
+    "STRIP_ITERATIONS",
 ]
 
 UNROLL_FACTORS = (1, 2, 4, 8)
 DEFAULT_REGISTER_BUDGET = 16
-# Bytes of each temporary in one block-executor strip: 8192 f32 or 4096
-# f64 elements, so a strip's temporaries stay in L2. A main-loop iteration
-# is at most 8 slots of 64 bytes, so a strip always holds whole iterations.
+# Bytes of each temporary in one block-executor assignment strip: 8192
+# f32 or 4096 f64 elements, so a strip's temporaries stay in L2. A
+# main-loop iteration is at most 8 slots of 64 bytes, so a strip always
+# holds whole iterations.
 STRIP_BYTES = 32 * 1024
+# Main-loop iterations in one block-executor reduction strip: at most
+# STRIP_BYTES, and fewer, shorter strips for a plan with a smaller U*W, so
+# unrolling still cuts a reduction's per-strip interpreter cost.
+STRIP_ITERATIONS = 64
 
 
 class PlanError(ValueError):
@@ -269,13 +277,13 @@ def _run_block_assign(root, length):
 def _run_block_reduce(root, plan, length):
     block = plan.block
     n = plan.masked_length
-    strip = STRIP_BYTES // root.dtype.itemsize
+    strip = STRIP_ITERATIONS * block
     terms = root.child.block_op
     # Row 0 holds the flat slot-accumulator lanes (slot s at
     # [s*width, (s+1)*width)); a strip's terms fill the rows below it, one
     # main-loop iteration per row, and a fold down the rows adds them to
     # each lane in iteration order.
-    buf = np.zeros((min(strip, n) // block + 1, block), dtype=root.dtype)
+    buf = np.zeros((min(STRIP_ITERATIONS, n // block) + 1, block), dtype=root.dtype)
     for lo in range(0, n, strip):
         hi = min(lo + strip, n)
         rows = (hi - lo) // block
@@ -286,14 +294,13 @@ def _run_block_reduce(root, plan, length):
             # a (rows, 1) buffer collapses to 1-D, where add.reduce sums
             # pairwise; accumulate stays sequential
             buf[0] = np.add.accumulate(buf[: rows + 1], axis=0)[-1]
-    # The tail's terms are added in order to a remainder that starts at +0,
-    # as the stepped executor's single_op calls do, down to a zero's sign.
-    # An empty tail costs no array calls, as it costs no single_op calls.
+    # The tail's terms are added in order. The stepped executor adds them
+    # to a remainder that starts at +0; starting at the first term instead
+    # differs only in giving -0 for a tail of -0 terms, and that vanishes
+    # when the remainder is added to the lane total, which is never -0.
     remainder = root.dtype.type(0)
     if length > n:
-        tail = np.zeros(length - n + 1, dtype=root.dtype)
-        tail[1:] = terms(n, length)
-        remainder = np.add.accumulate(tail)[-1]
+        remainder = np.add.accumulate(terms(n, length))[-1]
     return combine_partials(buf[0].reshape(plan.unroll, plan.width), remainder)
 
 

@@ -8,6 +8,7 @@ import pytest
 from lanevec.engine import (
     DEFAULT_REGISTER_BUDGET,
     STRIP_BYTES,
+    STRIP_ITERATIONS,
     PlanError,
     UnrollPlan,
     call_trace,
@@ -319,8 +320,13 @@ def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
 def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
     backend = backend_of(dtype)
     block = unroll * backend.width
-    s = STRIP_BYTES // backend.dtype.itemsize
-    for n in (s - 1, s, s + 1, 2 * s + block - 1, 3 * s + 5):
+    # around an assignment strip, then around a reduction strip
+    lengths = [
+        n
+        for s in (STRIP_BYTES // backend.dtype.itemsize, STRIP_ITERATIONS * block)
+        for n in (s - 1, s, s + 1, 2 * s + block - 1, 3 * s + 5)
+    ]
+    for n in lengths:
         x, y = fresh_pair(n, dtype, seed=n)
         source = as_node(x) + ScaleNode(0.75, as_node(y))
         for packages in sorted({1, unroll}):
