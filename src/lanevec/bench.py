@@ -132,17 +132,14 @@ def _naive_call(op: str, x, y, alpha):
     raise ValueError(f"unknown op {op!r}")
 
 
-def _variant_options(variant: str, packages):
-    options = {}
+def _variant_options(variant: str):
     if variant.startswith("engine-U"):
-        options["unroll"] = int(variant[len("engine-U") :])
-    if packages is not None:
-        options["packages"] = packages
-    return options
+        return {"unroll": int(variant[len("engine-U") :])}
+    return {}
 
 
-def measure(op: str, variant: str, n: int, dtype, reps: int, warmup: int, seed: int,
-            packages=None) -> BenchRecord:
+def measure(op: str, variant: str, n: int, dtype, reps: int, warmup: int,
+            seed: int) -> BenchRecord:
     """Time one op/variant/size combination and derive throughput."""
     dt = as_dtype(dtype)
     alpha = dt.type(_ALPHA)
@@ -152,7 +149,7 @@ def measure(op: str, variant: str, n: int, dtype, reps: int, warmup: int, seed: 
         call = _naive_call(op, x, y, alpha)
         restore = None
     else:
-        call = _engine_call(op, x, y, out, alpha, _variant_options(variant, packages))
+        call = _engine_call(op, x, y, out, alpha, _variant_options(variant))
         # In-place ops are re-run many times; reset the mutated operand
         # between reps, outside the timed region.
         if op == "scal" and n:
@@ -192,8 +189,7 @@ def measure(op: str, variant: str, n: int, dtype, reps: int, warmup: int, seed: 
     )
 
 
-def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0,
-              packages=None) -> list:
+def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0) -> list:
     """Measure every op x variant x size; record count is exactly the product."""
     for op in ops:
         if op not in OPS:
@@ -207,9 +203,7 @@ def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0,
     for op in ops:
         for variant in variants:
             for n in sizes:
-                records.append(
-                    measure(op, variant, n, dtype, reps, warmup, seed, packages)
-                )
+                records.append(measure(op, variant, n, dtype, reps, warmup, seed))
     return records
 
 
@@ -291,9 +285,6 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", default="-", help="output path, '-' for stdout")
-    parser.add_argument("--packages", type=int, default=None,
-                        help="burst groups per unrolled iteration for engine "
-                             "variants (default 1)")
     parser.add_argument("--cache-sizes", default=None,
                         help="comma list of cache sizes in bytes, recorded in "
                              "a .meta sidecar for plotting")
@@ -321,7 +312,7 @@ def main(argv=None) -> int:
             parser.error(f"--cache-sizes expects integers, got {args.cache_sizes!r}")
 
     records = run_sweep(ops, variants, sizes, dtype=args.type, reps=args.reps,
-                        warmup=args.warmup, seed=args.seed, packages=args.packages)
+                        warmup=args.warmup, seed=args.seed)
 
     try:
         emit_csv(records, args.csv)

@@ -1,5 +1,10 @@
 """Lazy expression nodes built by operator overloading.
 
+Nodes and vector containers share one operator rule (Operand): a real
+scalar times an operand, on either side, scales it, and unary minus
+scales by -1; every other operand must pass as_node, so a scalar added
+to or subtracted from a vector raises TypeError.
+
 Building a tree never touches vector elements. Each node implements the
 evaluation contract the loop engine drives:
 
@@ -14,11 +19,13 @@ evaluation contract the loop engine drives:
     reduction(slots, ts)  reductions only: fold slot accumulators and the
                           scalar remainder into one value
 
-Per-slot state lives in Storage objects, composed structurally: a binary
-node's storage is exactly the pair of its children's storages. Loop-wide
-state (the remainder accumulator) lives in TemporaryStorage, composed the
-same way. Both are built fresh per evaluation, so one expression value can
-be evaluated concurrently from several threads.
+Per-slot state lives in storage objects, composed structurally: a binary
+node's storage is exactly the pair of its children's storages, and a
+unary node's is the pair (its own lane register, its child's storage).
+Loop-wide state (the remainder accumulator) lives in temporary storage,
+composed the same way, with None for a unary node that keeps none. Both
+are built fresh per evaluation, so one expression value can be evaluated
+concurrently from several threads.
 """
 
 import math
@@ -52,16 +59,6 @@ class LengthMismatchError(ValueError):
     """Leaves of one expression tree disagree on length."""
 
 
-class SlotCell:
-    """Mutable holder for one lane register inside a slot's storage."""
-
-    __slots__ = ("backend", "value")
-
-    def __init__(self, backend):
-        self.backend = backend
-        self.value = None
-
-
 class Cell:
     """Mutable holder for one loop-wide scalar inside temporary storage."""
 
@@ -71,12 +68,23 @@ class Cell:
         self.value = None
 
 
+class SlotCell(Cell):
+    """Mutable holder for one lane register inside a slot's storage."""
+
+    __slots__ = ("backend",)
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.value = None
+
+
 def _is_vector(obj) -> bool:
     return hasattr(obj, "read_block") and hasattr(obj, "dtype")
 
 
 def as_node(obj) -> "Expression":
     """Wrap a vector container in a Leaf; pass expressions through."""
+    # Test for Expression, not Operand: a vector is an Operand that needs a Leaf.
     if isinstance(obj, Expression):
         return obj
     if _is_vector(obj):
@@ -84,30 +92,9 @@ def as_node(obj) -> "Expression":
     raise TypeError(f"cannot use {type(obj).__name__} in a vector expression")
 
 
-def add_nodes(a, b):
-    return AddNode(as_node(a), as_node(b))
-
-
-def sub_nodes(a, b):
-    return SubNode(as_node(a), as_node(b))
-
-
-def mul_nodes(a, b):
-    if isinstance(b, numbers.Real):
-        return ScaleNode(b, as_node(a))
-    return MulNode(as_node(a), as_node(b))
-
-
-def scale_node(alpha, x):
-    return ScaleNode(alpha, as_node(x))
-
-
-def negate_node(x):
-    return ScaleNode(-1, as_node(x))
-
-
-class Expression:
-    """Base class: operator sugar plus the shared contract plumbing."""
+class Operand:
+    """Operator sugar shared by expression nodes and vector containers: a
+    real scalar scales, any other operand must pass as_node."""
 
     __slots__ = ()
 
@@ -115,27 +102,48 @@ class Expression:
     __array_ufunc__ = None
 
     def __add__(self, other):
-        return add_nodes(self, other)
+        return AddNode(as_node(self), as_node(other))
 
     def __radd__(self, other):
-        return add_nodes(other, self)
+        return AddNode(as_node(other), as_node(self))
 
     def __sub__(self, other):
-        return sub_nodes(self, other)
+        return SubNode(as_node(self), as_node(other))
 
     def __rsub__(self, other):
-        return sub_nodes(other, self)
+        return SubNode(as_node(other), as_node(self))
 
     def __mul__(self, other):
-        return mul_nodes(self, other)
+        if isinstance(other, numbers.Real):
+            return ScaleNode(other, as_node(self))
+        return MulNode(as_node(self), as_node(other))
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Real):
-            return ScaleNode(other, self)
-        return mul_nodes(other, self)
+            return ScaleNode(other, as_node(self))
+        return MulNode(as_node(other), as_node(self))
 
     def __neg__(self):
-        return negate_node(self)
+        return ScaleNode(-1, as_node(self))
+
+
+class VectorOperand(Operand):
+    """Operand sugar for vector containers, plus assignment into them."""
+
+    __slots__ = ()
+
+    def assign(self, expression, **plan_kwargs) -> None:
+        """Evaluate a lazy expression into this vector in one fused pass."""
+        # engine imports this module, so its import waits for the call
+        from .engine import execute_assign
+
+        execute_assign(AssignNode(Leaf(self), as_node(expression)), **plan_kwargs)
+
+
+class Expression(Operand):
+    """Base class: operator sugar plus the shared contract plumbing."""
+
+    __slots__ = ()
 
     # Contract defaults; structural nodes override what they need.
     def init(self, ts):
@@ -274,157 +282,10 @@ class MulNode(_BinaryNode):
     _symbol = "*"
 
 
-class ScaleNode(Expression):
-    """scalar * expression; the scalar is hoisted into a lane register once
-    per slot in load_once, never reloaded inside the loop.
-
-    A finite alpha that rounds to inf in the element type raises
-    OverflowError when the node is built, before any element is touched;
-    an explicit inf or NaN alpha is kept and follows IEEE arithmetic.
-    """
-
-    __slots__ = ("alpha", "child", "dtype")
-
-    def __init__(self, alpha, child: Expression):
-        self.child = child
-        self.dtype = child.dtype
-        if abs(float(alpha)) > _LARGEST_FINITE[self.dtype]:
-            # only here can the cast round to inf; errstate costs ~2 us, so
-            # it stays off the common path
-            with np.errstate(over="ignore"):
-                self.alpha = self.dtype.type(alpha)
-            if math.isinf(self.alpha) and math.isfinite(alpha):
-                raise OverflowError(f"scale factor {alpha!r} overflows {self.dtype}")
-        else:
-            self.alpha = self.dtype.type(alpha)
-
-    @property
-    def register_footprint(self) -> int:
-        return 1 + self.child.register_footprint
-
-    def leaves(self):
-        yield from self.child.leaves()
-
-    def make_storage(self, backend):
-        return (SlotCell(backend), self.child.make_storage(backend))
-
-    def make_temporary(self, backend):
-        return self.child.make_temporary(backend)
-
-    def init(self, ts):
-        self.child.init(ts)
-
-    def cleanup(self, ts):
-        self.child.cleanup(ts)
-
-    def load_once(self, s, ts):
-        s[0].value = s[0].backend.splat(self.alpha)
-        self.child.load_once(s[1], ts)
-
-    def load(self, i, s, ts):
-        self.child.load(i, s[1], ts)
-
-    def store(self, i, s, ts):
-        self.child.store(i, s[1], ts)
-
-    def vector_op(self, i, s, ts):
-        return s[0].value * self.child.vector_op(i, s[1], ts)
-
-    def single_op(self, i, ts):
-        return self.alpha * self.child.single_op(i, ts)
-
-    def block_op(self, lo, hi):
-        return self.alpha * self.child.block_op(lo, hi)
-
-    def __repr__(self):
-        return f"({float(self.alpha)!r} * {self.child!r})"
-
-
-class AssignNode(Expression):
-    """Evaluation root writing an elementwise expression into a destination.
-
-    The destination is never read, only written, so an out-of-place scaled
-    copy really moves n reads plus n writes and nothing more. The
-    destination may be the same vector as a source leaf (in-place scaling);
-    overlap at a shifted offset is unsupported and unchecked.
-    """
-
-    __slots__ = ("dest", "source", "dtype")
-
-    def __init__(self, dest: Leaf, source: Expression):
-        if not isinstance(dest, Leaf):
-            raise TypeError("assignment destination must be a vector leaf")
-        if dest.dtype != source.dtype:
-            raise TypeError(
-                f"mixed element types in assignment: {dest.dtype} vs {source.dtype}"
-            )
-        self.dest = dest
-        self.source = source
-        self.dtype = dest.dtype
-
-    @property
-    def register_footprint(self) -> int:
-        # One extra lane holds the computed result between the operation
-        # burst and the store burst.
-        return 1 + self.source.register_footprint
-
-    def leaves(self):
-        yield self.dest
-        yield from self.source.leaves()
-
-    def make_storage(self, backend):
-        return (SlotCell(backend), self.source.make_storage(backend))
-
-    def make_temporary(self, backend):
-        return self.source.make_temporary(backend)
-
-    def init(self, ts):
-        self.source.init(ts)
-
-    def cleanup(self, ts):
-        self.source.cleanup(ts)
-
-    def load_once(self, s, ts):
-        self.source.load_once(s[1], ts)
-
-    def load(self, i, s, ts):
-        self.source.load(i, s[1], ts)
-
-    def vector_op(self, i, s, ts):
-        v = self.source.vector_op(i, s[1], ts)
-        s[0].value = v
-        return v
-
-    def store(self, i, s, ts):
-        lanes = s[0].value.lanes
-        self.dest.vector.write_block(i, i + lanes.shape[0], lanes)
-
-    def single_op(self, i, ts):
-        v = self.source.single_op(i, ts)
-        self.dest.vector.write_element(i, v)
-        return v
-
-    def block_commit(self, lo, hi):
-        # The source block is fully materialized before the write, which is
-        # what makes the exact-aliasing case safe.
-        self.dest.vector.write_block(lo, hi, self.source.block_op(lo, hi))
-
-    def __repr__(self):
-        return f"Assign({self.dest!r} <- {self.source!r})"
-
-
-class SumNode(Expression):
-    """Reduction root: sums the operand expression over all indices.
-
-    Each unroll slot keeps a lane accumulator; remainder elements add, in
-    index order, into a scalar accumulator that starts at +0 in temporary
-    storage. `reduction` folds slot accumulators in ascending slot order,
-    lanes left to right within each, then adds the remainder last, so a
-    result is reproducible for a fixed plan. The contract calls here are
-    the stepped executor's; the block executor keeps the accumulators
-    itself and reads the summands through `child.block_op`, a strip at a
-    time and the tail in one call.
-    """
+class _UnaryNode(Expression):
+    """One subtree plus a lane register of its own: storage is (own,
+    child's), temporary storage (None, child's), and the contract calls
+    pass through to the child's halves."""
 
     __slots__ = ("child", "dtype")
 
@@ -437,27 +298,147 @@ class SumNode(Expression):
         return 1 + self.child.register_footprint
 
     def leaves(self):
-        yield from self.child.leaves()
+        return self.child.leaves()
 
     def make_storage(self, backend):
         return (SlotCell(backend), self.child.make_storage(backend))
 
     def make_temporary(self, backend):
-        return (Cell(), self.child.make_temporary(backend))
+        return (None, self.child.make_temporary(backend))
 
     def init(self, ts):
-        ts[0].value = self.dtype.type(0)
         self.child.init(ts[1])
 
     def cleanup(self, ts):
         self.child.cleanup(ts[1])
 
     def load_once(self, s, ts):
-        s[0].value = s[0].backend.splat(0)
         self.child.load_once(s[1], ts[1])
 
     def load(self, i, s, ts):
         self.child.load(i, s[1], ts[1])
+
+    def store(self, i, s, ts):
+        self.child.store(i, s[1], ts[1])
+
+
+class ScaleNode(_UnaryNode):
+    """scalar * expression; the scalar is hoisted into a lane register once
+    per slot in load_once, never reloaded inside the loop.
+
+    A finite alpha that rounds to inf in the element type raises
+    OverflowError when the node is built, before any element is touched;
+    an explicit inf or NaN alpha is kept and follows IEEE arithmetic.
+    """
+
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha, child: Expression):
+        super().__init__(child)
+        if abs(float(alpha)) > _LARGEST_FINITE[self.dtype]:
+            # only here can the cast round to inf; errstate costs ~2 us, so
+            # it stays off the common path
+            with np.errstate(over="ignore"):
+                self.alpha = self.dtype.type(alpha)
+            if math.isinf(self.alpha) and math.isfinite(alpha):
+                raise OverflowError(f"scale factor {alpha!r} overflows {self.dtype}")
+        else:
+            self.alpha = self.dtype.type(alpha)
+
+    def load_once(self, s, ts):
+        s[0].value = s[0].backend.splat(self.alpha)
+        super().load_once(s, ts)
+
+    def vector_op(self, i, s, ts):
+        return s[0].value * self.child.vector_op(i, s[1], ts[1])
+
+    def single_op(self, i, ts):
+        return self.alpha * self.child.single_op(i, ts[1])
+
+    def block_op(self, lo, hi):
+        return self.alpha * self.child.block_op(lo, hi)
+
+    def __repr__(self):
+        return f"({float(self.alpha)!r} * {self.child!r})"
+
+
+class AssignNode(_UnaryNode):
+    """Evaluation root writing an elementwise expression into a destination.
+
+    The destination is never read, only written, so an out-of-place scaled
+    copy really moves n reads plus n writes and nothing more. The
+    destination may be the same vector as a source leaf (in-place scaling);
+    overlap at a shifted offset is unsupported and unchecked. The own lane
+    holds the computed result between the operation burst and the store
+    burst.
+    """
+
+    __slots__ = ("dest",)
+
+    def __init__(self, dest: Leaf, source: Expression):
+        if not isinstance(dest, Leaf):
+            raise TypeError("assignment destination must be a vector leaf")
+        if dest.dtype != source.dtype:
+            raise TypeError(
+                f"mixed element types in assignment: {dest.dtype} vs {source.dtype}"
+            )
+        super().__init__(source)
+        self.dest = dest
+
+    source = property(operator.attrgetter("child"))
+
+    def leaves(self):
+        yield self.dest
+        yield from self.child.leaves()
+
+    def vector_op(self, i, s, ts):
+        v = self.child.vector_op(i, s[1], ts[1])
+        s[0].value = v
+        return v
+
+    def store(self, i, s, ts):
+        lanes = s[0].value.lanes
+        self.dest.vector.write_block(i, i + lanes.shape[0], lanes)
+
+    def single_op(self, i, ts):
+        v = self.child.single_op(i, ts[1])
+        self.dest.vector.write_element(i, v)
+        return v
+
+    def block_commit(self, lo, hi):
+        # The source block is fully materialized before the write, which is
+        # what makes the exact-aliasing case safe.
+        self.dest.vector.write_block(lo, hi, self.child.block_op(lo, hi))
+
+    def __repr__(self):
+        return f"Assign({self.dest!r} <- {self.child!r})"
+
+
+class SumNode(_UnaryNode):
+    """Reduction root: sums the operand expression over all indices.
+
+    Each unroll slot keeps a lane accumulator; remainder elements add, in
+    index order, into a scalar accumulator that starts at +0 in temporary
+    storage. `reduction` folds slot accumulators in ascending slot order,
+    lanes left to right within each, then adds the remainder last, so a
+    result is reproducible for a fixed plan. The contract calls here are
+    the stepped executor's; the block executor keeps the accumulators
+    itself and reads the summands through `child.block_op`, a strip at a
+    time and the tail in one call.
+    """
+
+    __slots__ = ()
+
+    def make_temporary(self, backend):
+        return (Cell(), self.child.make_temporary(backend))
+
+    def init(self, ts):
+        ts[0].value = self.dtype.type(0)
+        super().init(ts)
+
+    def load_once(self, s, ts):
+        s[0].value = s[0].backend.splat(0)
+        super().load_once(s, ts)
 
     def vector_op(self, i, s, ts):
         s[0].value = s[0].value + self.child.vector_op(i, s[1], ts[1])

@@ -48,21 +48,17 @@ def dtype_name(dtype) -> str:
 
 
 class LaneCapabilities:
-    """Static facts about a lane backend: width, alignment, whether the
-    backend packs more than one scalar per operation."""
+    """Static facts about a lane backend: its width and whether it packs
+    more than one scalar per operation."""
 
-    __slots__ = ("width", "specialized", "required_alignment")
+    __slots__ = ("width", "specialized")
 
-    def __init__(self, width: int, specialized: bool, required_alignment: int):
+    def __init__(self, width: int, specialized: bool):
         self.width = width
         self.specialized = specialized
-        self.required_alignment = required_alignment
 
     def __repr__(self):
-        return (
-            f"LaneCapabilities(width={self.width}, specialized={self.specialized}, "
-            f"required_alignment={self.required_alignment})"
-        )
+        return f"LaneCapabilities(width={self.width}, specialized={self.specialized})"
 
 
 class LaneVector:
@@ -125,7 +121,7 @@ class LaneBackend:
         self.dtype = dtype
         self.width = width
         self.specialized = specialized
-        self.caps = LaneCapabilities(width, specialized, width * dtype.itemsize)
+        self.caps = LaneCapabilities(width, specialized)
 
     def splat(self, value) -> LaneVector:
         """Broadcast one scalar into every lane."""

@@ -7,6 +7,9 @@ sequence; for exact comparisons pass elements (and alpha) already in the
 target scalar type, e.g. via DenseVector.to_values().
 """
 
+from .expressions import VectorOperand
+from .vectors import DenseVector
+
 __all__ = [
     "CountingVector",
     "oracle_dot",
@@ -69,7 +72,7 @@ def kahan_sum(values):
     return total + comp
 
 
-class CountingVector:
+class CountingVector(VectorOperand):
     """Wrapper around a vector container that counts element traffic.
 
     Every read and write is tallied per element (a block access of k
@@ -80,8 +83,6 @@ class CountingVector:
 
     __slots__ = ("inner", "read_count", "write_count")
 
-    __array_ufunc__ = None
-
     def __init__(self, inner):
         self.inner = inner
         self.read_count = 0
@@ -89,14 +90,10 @@ class CountingVector:
 
     @classmethod
     def zeros(cls, n, dtype="f32"):
-        from .vectors import DenseVector
-
         return cls(DenseVector.zeros(n, dtype))
 
     @classmethod
     def from_values(cls, values, dtype="f32"):
-        from .vectors import DenseVector
-
         return cls(DenseVector.from_values(values, dtype))
 
     def reset_counts(self) -> None:
@@ -142,37 +139,6 @@ class CountingVector:
     def write_block(self, lo, hi, values) -> None:
         self.write_count += hi - lo
         self.inner.write_block(lo, hi, values)
-
-    def assign(self, expression, **options) -> None:
-        from .engine import execute_assign
-        from .expressions import AssignNode, as_node
-
-        execute_assign(AssignNode(as_node(self), as_node(expression)), **options)
-
-    def __add__(self, other):
-        from .expressions import add_nodes
-
-        return add_nodes(self, other)
-
-    def __sub__(self, other):
-        from .expressions import sub_nodes
-
-        return sub_nodes(self, other)
-
-    def __mul__(self, other):
-        from .expressions import mul_nodes
-
-        return mul_nodes(self, other)
-
-    def __rmul__(self, other):
-        from .expressions import scale_node
-
-        return scale_node(other, self)
-
-    def __neg__(self):
-        from .expressions import negate_node
-
-        return negate_node(self)
 
     def __repr__(self):
         return (

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .expressions import VectorOperand
 from .lanes import CONTAINER_ALIGNMENT, as_dtype
 
 __all__ = ["DenseVector"]
@@ -15,13 +16,14 @@ def _aligned_empty(n: int, dtype: np.dtype) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype)
 
 
-class DenseVector:
+class DenseVector(VectorOperand):
     """Fixed-length contiguous array of f32 or f64 scalars.
 
     The length never changes after construction and the storage stays
     aligned for every lane backend, so evaluation loops can use aligned
     block access unconditionally. Zero-length vectors are legal and every
-    loop degenerates cleanly over them.
+    loop degenerates cleanly over them. Arithmetic builds lazy expression
+    nodes and `assign` evaluates one into the vector (VectorOperand).
     """
 
     __slots__ = ("_data", "_dtype")
@@ -98,44 +100,6 @@ class DenseVector:
 
     def write_element(self, i: int, value) -> None:
         self._data[i] = value
-
-    def assign(self, expression, **plan_kwargs) -> None:
-        """Evaluate a lazy expression into this vector in one fused pass."""
-        from .engine import execute_assign
-        from .expressions import AssignNode, Leaf, as_node
-
-        execute_assign(AssignNode(Leaf(self), as_node(expression)), **plan_kwargs)
-
-    # Arithmetic builds lazy expression nodes; nothing is computed here.
-    # The imports are local to keep the container importable on its own.
-
-    def __add__(self, other):
-        from .expressions import add_nodes
-
-        return add_nodes(self, other)
-
-    def __sub__(self, other):
-        from .expressions import sub_nodes
-
-        return sub_nodes(self, other)
-
-    def __mul__(self, other):
-        from .expressions import mul_nodes
-
-        return mul_nodes(self, other)
-
-    def __rmul__(self, other):
-        from .expressions import scale_node
-
-        return scale_node(other, self)
-
-    def __neg__(self):
-        from .expressions import negate_node
-
-        return negate_node(self)
-
-    # Opt out of numpy's ufunc dispatch so np scalars defer to __rmul__.
-    __array_ufunc__ = None
 
     def __repr__(self):
         n = len(self)

