@@ -16,20 +16,26 @@ drives the node contract call by call and is what `call_trace` records;
 packages shape only its bursts and its trace, and it is the only one that
 calls single_op. The block executor is the default, because interpreter
 overhead, not arithmetic, dominates here. It runs in strips, one
-contiguous array operation per node per strip:
+contiguous ufunc call per node per strip, each writing with out= into a
+strip-length array (see the block_op contract in expressions):
 
-- an assignment strip is STRIP_BYTES bytes (STRIP_BYTES // itemsize
-  elements, whatever U*W is) and is computed in full before it is
-  written, so a destination that is also a source leaf stays safe; the
-  tail is just the end of the last strip, since every result is
-  elementwise;
-- a reduction strip is STRIP_ITERATIONS main-loop iterations; it fills
-  the rows of a buffer whose first row holds the slot accumulators, and
-  one fold down the rows adds each lane's terms in iteration order; the
-  tail's terms come from one more array operation and are added in
-  order.
+- an assignment's root writes each strip straight into the
+  destination. Its scratch registers share SCRATCH_BYTES, so its strip
+  length follows from its register count, in whole 64-byte lines
+  (whatever U*W is); a tree that needs no register (scal, scaled_copy,
+  a*(x + y)) runs as one call per node over the whole length. The
+  register rule delays every write to the destination until the strip's
+  leaves have been read, so a destination that is also a source leaf
+  stays safe. The tail is just the end of the last strip, since every
+  result is elementwise;
+- a reduction strip is STRIP_ITERATIONS main-loop iterations; its terms
+  are written into the rows of a buffer whose first row holds the slot
+  accumulators, and one fold down the rows adds each lane's terms in
+  iteration order; the tail's terms, fewer than a row, come from one
+  more call into an array of its own and are added in order.
 
-Neither executor makes a temporary longer than one strip. Both commit
+Neither executor makes a temporary longer than one strip, and the block
+executor's scratch registers are made once per evaluation. Both commit
 elements in the same order and accumulate every lane and the remainder in
 the same order, so their results are bit identical; the test suite pins
 that equivalence.
@@ -40,8 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AssignNode, combine_partials, common_length
-from .lanes import LaneBackend, default_backend, scalar_backend, wide_backend
+from .expressions import AssignNode, Scratch, combine_partials, common_length
+from .lanes import (
+    CONTAINER_ALIGNMENT,
+    LaneBackend,
+    default_backend,
+    scalar_backend,
+    wide_backend,
+)
 
 __all__ = [
     "UnrollPlan",
@@ -53,20 +65,21 @@ __all__ = [
     "TraceEvent",
     "UNROLL_FACTORS",
     "DEFAULT_REGISTER_BUDGET",
-    "STRIP_BYTES",
+    "SCRATCH_BYTES",
     "STRIP_ITERATIONS",
+    "assign_strip",
 ]
 
 UNROLL_FACTORS = (1, 2, 4, 8)
 DEFAULT_REGISTER_BUDGET = 16
-# Bytes of each temporary in one block-executor assignment strip: 8192
-# f32 or 4096 f64 elements, so a strip's temporaries stay in L2. A
-# main-loop iteration is at most 8 slots of 64 bytes, so a strip always
-# holds whole iterations.
-STRIP_BYTES = 32 * 1024
+# Bytes shared by the scratch registers of one block-executor assignment,
+# so that they stay in L2: one register gets 32768 f32 or 16384 f64
+# elements per strip, four get a quarter of that each.
+SCRATCH_BYTES = 128 * 1024
 # Main-loop iterations in one block-executor reduction strip: at most
-# STRIP_BYTES, and fewer, shorter strips for a plan with a smaller U*W, so
-# unrolling still cuts a reduction's per-strip interpreter cost.
+# 8 slots of 64 bytes each, so 32 KiB, and fewer, shorter strips for a
+# plan with a smaller U*W, so unrolling still cuts a reduction's
+# per-strip interpreter cost.
 STRIP_ITERATIONS = 64
 
 
@@ -267,11 +280,30 @@ def _run_stepped(root, backend, plan, length, reduce_root, trace=None):
     return None
 
 
+def assign_strip(root, length: int) -> int:
+    """Elements in one block-executor strip of an assignment root: its
+    scratch registers share SCRATCH_BYTES in whole 64-byte lines, at least
+    one line each; a root that needs no register, or a shorter vector,
+    runs in one strip."""
+    registers = root.registers
+    if registers:
+        lines = SCRATCH_BYTES // (registers * CONTAINER_ALIGNMENT) or 1
+        strip = lines * (CONTAINER_ALIGNMENT // root.dtype.itemsize)
+        if strip < length:
+            return strip
+    return length or 1
+
+
 def _run_block_assign(root, length):
-    strip = STRIP_BYTES // root.dtype.itemsize
+    strip = assign_strip(root, length)
     commit = root.block_commit
+    scratch = Scratch()
     for lo in range(0, length, strip):
-        commit(lo, min(lo + strip, length))
+        hi = lo + strip
+        if hi > length:
+            hi = length
+            scratch.fit(hi - lo)
+        commit(lo, hi, scratch)
 
 
 def _run_block_reduce(root, plan, length):
@@ -279,15 +311,24 @@ def _run_block_reduce(root, plan, length):
     n = plan.masked_length
     strip = STRIP_ITERATIONS * block
     terms = root.child.block_op
+    scratch = Scratch()
+    scratch.dest = None
     # Row 0 holds the flat slot-accumulator lanes (slot s at
-    # [s*width, (s+1)*width)); a strip's terms fill the rows below it, one
-    # main-loop iteration per row, and a fold down the rows adds them to
-    # each lane in iteration order.
+    # [s*width, (s+1)*width)); a strip's terms are written into the rows
+    # below it, one main-loop iteration per row, and a fold down the rows
+    # adds them to each lane in iteration order.
     buf = np.zeros((min(STRIP_ITERATIONS, n // block) + 1, block), dtype=root.dtype)
+    flat = buf.ravel()
     for lo in range(0, n, strip):
-        hi = min(lo + strip, n)
+        hi = lo + strip
+        if hi > n:
+            hi = n
+            scratch.fit(hi - lo)
         rows = (hi - lo) // block
-        buf[1 : rows + 1] = terms(lo, hi).reshape(rows, block)
+        out = flat[block : block + hi - lo]
+        values = terms(lo, hi, out, scratch)
+        if values is not out:
+            out[...] = values  # a leaf's own storage is copied
         if block > 1:
             buf[0] = np.add.reduce(buf[: rows + 1], axis=0)
         else:
@@ -300,7 +341,9 @@ def _run_block_reduce(root, plan, length):
     # when the remainder is added to the lane total, which is never -0.
     remainder = root.dtype.type(0)
     if length > n:
-        remainder = np.add.accumulate(terms(n, length))[-1]
+        # fewer terms than a row: the ufunc makes their array
+        scratch.fit(length - n)
+        remainder = np.add.accumulate(terms(n, length, None, scratch))[-1]
     return combine_partials(buf[0].reshape(plan.unroll, plan.width), remainder)
 
 

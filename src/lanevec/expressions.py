@@ -19,13 +19,35 @@ evaluation contract the loop engine drives:
     reduction(slots, ts)  reductions only: fold slot accumulators and the
                           scalar remainder into one value
 
+The block executor drives two calls instead, a strip at a time:
+
+    block_op(lo, hi, out, scratch)
+                          write elements lo..hi-1 into the array `out`
+                          with the ufunc's out= and return it; given
+                          None, return the array the ufunc makes; a Leaf
+                          ignores `out` and returns its read-only view
+    block_commit(lo, hi, scratch)
+                          assignment roots: the source's block_op with
+                          the destination's strip as `out`
+
+`scratch` is the evaluation's Scratch pool of strip-length registers.
+The register rule keeps exact aliasing safe: a ScaleNode passes its out
+down to its child; a binary node evaluates a non-leaf right child into a
+pool register, and a non-leaf left child into its own out only when that
+out is private scratch, into a register otherwise. The only out that is
+not private is an assignment's destination strip, so nothing writes the
+destination before every leaf has been read. A node counts the
+registers it takes with a private out (`registers`) when it is built, as
+it does its lane register footprint; an assignment root counts them with
+the destination as out.
+
 Per-slot state lives in storage objects, composed structurally: a binary
 node's storage is exactly the pair of its children's storages, and a
 unary node's is the pair (its own lane register, its child's storage).
 Loop-wide state (the remainder accumulator) lives in temporary storage,
-composed the same way, with None for a unary node that keeps none. Both
-are built fresh per evaluation, so one expression value can be evaluated
-concurrently from several threads.
+composed the same way, with None for a unary node that keeps none. Both,
+and the block executor's Scratch, are built fresh per evaluation, so one
+expression value can be evaluated concurrently from several threads.
 """
 
 import math
@@ -38,6 +60,7 @@ from .lanes import LaneVector
 
 __all__ = [
     "Expression",
+    "Scratch",
     "Leaf",
     "AddNode",
     "SubNode",
@@ -76,6 +99,23 @@ class SlotCell(Cell):
     def __init__(self, backend):
         self.backend = backend
         self.value = None
+
+
+class Scratch(list):
+    """Registers of one block evaluation: the list holds the strip arrays
+    not in use. A node pops one, or passes None so that its child's ufunc
+    makes it on first use, and appends it back when done, so each is
+    reused on every later strip. `dest` is the destination strip an
+    assignment is writing, the one out that is not private; None in a
+    reduction."""
+
+    __slots__ = ("dest",)
+
+    def fit(self, n):
+        """Cut the registers to a shorter strip of n elements; strips never
+        grow within an evaluation."""
+        if self:
+            self[:] = [reg[:n] for reg in self]
 
 
 def _is_vector(obj) -> bool:
@@ -127,10 +167,27 @@ class Operand:
         return ScaleNode(-1, as_node(self))
 
 
+def _no_in_place(symbol):
+    def in_place(self, other):
+        raise TypeError(
+            f"vectors have no in-place {symbol}=, which would rebind the name to "
+            f"a lazy expression; write x.assign(x {symbol} y)"
+        )
+
+    return in_place
+
+
 class VectorOperand(Operand):
-    """Operand sugar for vector containers, plus assignment into them."""
+    """Operand sugar for vector containers, plus assignment into them. The
+    in-place operators raise TypeError: `x += y` would rebind x to an
+    unevaluated node and leave the vector as it was. Expressions keep
+    Python's fallback, which rebinds, since they are immutable."""
 
     __slots__ = ()
+
+    __iadd__ = _no_in_place("+")
+    __isub__ = _no_in_place("-")
+    __imul__ = _no_in_place("*")
 
     def assign(self, expression, **plan_kwargs) -> None:
         """Evaluate a lazy expression into this vector in one fused pass."""
@@ -164,13 +221,12 @@ class Leaf(Expression):
 
     __slots__ = ("vector", "dtype")
 
+    register_footprint = 1
+    registers = 0
+
     def __init__(self, vector):
         self.vector = vector
         self.dtype = vector.dtype
-
-    @property
-    def register_footprint(self) -> int:
-        return 1
 
     def leaves(self):
         yield self
@@ -190,7 +246,7 @@ class Leaf(Expression):
     def single_op(self, i, ts):
         return self.vector.read_element(i)
 
-    def block_op(self, lo, hi):
+    def block_op(self, lo, hi, out, scratch):
         return self.vector.read_block(lo, hi)
 
     def __repr__(self):
@@ -200,9 +256,10 @@ class Leaf(Expression):
 class _BinaryNode(Expression):
     """Elementwise combination of two subtrees of equal dtype."""
 
-    __slots__ = ("left", "right", "dtype")
+    __slots__ = ("left", "right", "dtype", "register_footprint", "registers")
 
     _combine = None  # staticmethod set by subclasses
+    _ufunc = None  # the same operation on arrays, with out=
     _symbol = "?"
 
     def __init__(self, left: Expression, right: Expression):
@@ -213,10 +270,12 @@ class _BinaryNode(Expression):
         self.left = left
         self.right = right
         self.dtype = left.dtype
-
-    @property
-    def register_footprint(self) -> int:
-        return self.left.register_footprint + self.right.register_footprint
+        self.register_footprint = left.register_footprint + right.register_footprint
+        # the left result waits in out while the right one fills a register
+        regs = left.registers
+        if type(right) is not Leaf and right.registers >= regs:
+            regs = right.registers + 1
+        self.registers = regs
 
     def leaves(self):
         yield from self.left.leaves()
@@ -257,8 +316,26 @@ class _BinaryNode(Expression):
     def single_op(self, i, ts):
         return self._combine(self.left.single_op(i, ts[0]), self.right.single_op(i, ts[1]))
 
-    def block_op(self, lo, hi):
-        return self._combine(self.left.block_op(lo, hi), self.right.block_op(lo, hi))
+    def block_op(self, lo, hi, out, scratch):
+        # Registers are taken in evaluation order, as `registers` counts
+        # them. A leaf's view is read here, without its own block_op call.
+        left, right = self.left, self.right
+        held = None
+        if type(left) is Leaf:
+            a = left.vector.read_block(lo, hi)
+        elif out is not scratch.dest or out is None:
+            a = out = left.block_op(lo, hi, out, scratch)
+        else:
+            a = held = left.block_op(lo, hi, scratch.pop() if scratch else None, scratch)
+        if type(right) is Leaf:
+            out = self._ufunc(a, right.vector.read_block(lo, hi), out=out)
+        else:
+            b = right.block_op(lo, hi, scratch.pop() if scratch else None, scratch)
+            out = self._ufunc(a, b, out=out)
+            scratch.append(b)
+        if held is not None:
+            scratch.append(held)
+        return out
 
     def __repr__(self):
         return f"({self.left!r} {self._symbol} {self.right!r})"
@@ -267,35 +344,38 @@ class _BinaryNode(Expression):
 class AddNode(_BinaryNode):
     __slots__ = ()
     _combine = staticmethod(operator.add)
+    _ufunc = np.add
     _symbol = "+"
 
 
 class SubNode(_BinaryNode):
     __slots__ = ()
     _combine = staticmethod(operator.sub)
+    _ufunc = np.subtract
     _symbol = "-"
 
 
 class MulNode(_BinaryNode):
     __slots__ = ()
     _combine = staticmethod(operator.mul)
+    _ufunc = np.multiply
     _symbol = "*"
 
 
 class _UnaryNode(Expression):
     """One subtree plus a lane register of its own: storage is (own,
     child's), temporary storage (None, child's), and the contract calls
-    pass through to the child's halves."""
+    pass through to the child's halves. It takes its child's scratch
+    registers: a ScaleNode passes its out down, and a root hands the child
+    its own out."""
 
-    __slots__ = ("child", "dtype")
+    __slots__ = ("child", "dtype", "register_footprint", "registers")
 
     def __init__(self, child: Expression):
         self.child = child
         self.dtype = child.dtype
-
-    @property
-    def register_footprint(self) -> int:
-        return 1 + self.child.register_footprint
+        self.register_footprint = 1 + child.register_footprint
+        self.registers = child.registers
 
     def leaves(self):
         return self.child.leaves()
@@ -355,8 +435,12 @@ class ScaleNode(_UnaryNode):
     def single_op(self, i, ts):
         return self.alpha * self.child.single_op(i, ts[1])
 
-    def block_op(self, lo, hi):
-        return self.alpha * self.child.block_op(lo, hi)
+    def block_op(self, lo, hi, out, scratch):
+        child = self.child
+        if type(child) is Leaf:
+            return np.multiply(self.alpha, child.vector.read_block(lo, hi), out=out)
+        v = child.block_op(lo, hi, out, scratch)
+        return np.multiply(self.alpha, v, out=v)
 
     def __repr__(self):
         return f"({float(self.alpha)!r} * {self.child!r})"
@@ -370,7 +454,9 @@ class AssignNode(_UnaryNode):
     destination may be the same vector as a source leaf (in-place scaling);
     overlap at a shifted offset is unsupported and unchecked. The own lane
     holds the computed result between the operation burst and the store
-    burst.
+    burst. In the block executor the source writes each strip straight
+    into the destination's writable window; the register rule keeps that
+    write after every read of the strip.
     """
 
     __slots__ = ("dest",)
@@ -384,6 +470,12 @@ class AssignNode(_UnaryNode):
             )
         super().__init__(source)
         self.dest = dest
+        # With the destination as out, the first binary node below any
+        # scale nodes keeps a non-leaf left result in a register of its own.
+        while type(source) is ScaleNode:
+            source = source.child
+        if isinstance(source, _BinaryNode) and type(source.left) is not Leaf:
+            self.registers += 1
 
     source = property(operator.attrgetter("child"))
 
@@ -405,10 +497,11 @@ class AssignNode(_UnaryNode):
         self.dest.vector.write_element(i, v)
         return v
 
-    def block_commit(self, lo, hi):
-        # The source block is fully materialized before the write, which is
-        # what makes the exact-aliasing case safe.
-        self.dest.vector.write_block(lo, hi, self.child.block_op(lo, hi))
+    def block_commit(self, lo, hi, scratch):
+        out = scratch.dest = self.dest.vector.write_window(lo, hi)
+        values = self.child.block_op(lo, hi, out, scratch)
+        if values is not out:
+            out[...] = values  # a bare leaf source is copied
 
     def __repr__(self):
         return f"Assign({self.dest!r} <- {self.child!r})"
@@ -423,8 +516,9 @@ class SumNode(_UnaryNode):
     lanes left to right within each, then adds the remainder last, so a
     result is reproducible for a fixed plan. The contract calls here are
     the stepped executor's; the block executor keeps the accumulators
-    itself and reads the summands through `child.block_op`, a strip at a
-    time and the tail in one call.
+    itself and has `child.block_op` write the summands of each strip into
+    the rows of its fold buffer (private scratch), and the tail's, in one
+    more call, into an array of their own.
     """
 
     __slots__ = ()

@@ -23,8 +23,8 @@ def dot(x, y, **options):
 def scal(alpha, x, **options) -> None:
     """In-place scaling x = alpha * x.
 
-    Destination and source are the same vector; the engine computes each
-    result block before storing it, so the exact-overlap case is safe.
+    Destination and source are the same vector; the multiply reads each
+    element before it writes it, so the exact-overlap case is safe.
     """
     execute_assign(AssignNode(as_node(x), ScaleNode(alpha, as_node(x))), **options)
 

@@ -140,6 +140,11 @@ class CountingVector(VectorOperand):
         self.write_count += hi - lo
         self.inner.write_block(lo, hi, values)
 
+    def write_window(self, lo, hi):
+        # the caller writes every element of the window once
+        self.write_count += hi - lo
+        return self.inner.write_window(lo, hi)
+
     def __repr__(self):
         return (
             f"CountingVector({self.inner!r}, reads={self.read_count}, "

@@ -92,6 +92,11 @@ class DenseVector(VectorOperand):
     def read_block(self, lo: int, hi: int) -> np.ndarray:
         return self._data[lo:hi]
 
+    def write_window(self, lo: int, hi: int) -> np.ndarray:
+        """Writable view of elements lo..hi-1: the caller writes each of
+        them once, in place, and reads none."""
+        return self._data[lo:hi]
+
     def write_block(self, lo: int, hi: int, values) -> None:
         self._data[lo:hi] = values
 

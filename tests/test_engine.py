@@ -7,10 +7,10 @@ import pytest
 
 from lanevec.engine import (
     DEFAULT_REGISTER_BUDGET,
-    STRIP_BYTES,
     STRIP_ITERATIONS,
     PlanError,
     UnrollPlan,
+    assign_strip,
     call_trace,
     execute_assign,
     execute_reduce,
@@ -19,7 +19,7 @@ from lanevec.engine import (
 )
 from lanevec.expressions import AssignNode, ScaleNode, SumNode, as_node
 from lanevec.lanes import as_dtype, scalar_backend, wide_backend
-from lanevec.ops import axpy, dot, scal
+from lanevec.ops import axpy, dot, scal, scaled_copy
 from lanevec.ops import sum as vec_sum
 from lanevec.oracle import oracle_axpy, oracle_dot
 from lanevec.vectors import DenseVector
@@ -34,6 +34,21 @@ def make_axpy(alpha, x, y):
 
 def make_dot(x, y):
     return SumNode(as_node(x) * as_node(y))
+
+
+def assign_strip_of(source, dtype="f32"):
+    """Elements in one block-executor strip of `d.assign(source)` on long
+    vectors, for a source that takes scratch registers."""
+    root = AssignNode(as_node(DenseVector.zeros(1, dtype)), source)
+    strip = assign_strip(root, 1 << 40)
+    assert root.registers > 0 and strip < 1 << 40
+    return strip
+
+
+def axpy_strip(dtype="f32"):
+    """The strip of `d.assign(x + 0.75*y)`, which takes one scratch register."""
+    v = as_node(DenseVector.zeros(1, dtype))
+    return assign_strip_of(v + ScaleNode(0.75, v), dtype)
 
 
 def fresh_pair(n, dtype="f32", seed=0):
@@ -323,7 +338,7 @@ def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
     # around an assignment strip, then around a reduction strip
     lengths = [
         n
-        for s in (STRIP_BYTES // backend.dtype.itemsize, STRIP_ITERATIONS * block)
+        for s in (axpy_strip(dtype), STRIP_ITERATIONS * block)
         for n in (s - 1, s, s + 1, 2 * s + block - 1, 3 * s + 5)
     ]
     for n in lengths:
@@ -361,7 +376,7 @@ def test_array_tail_matches_single_op_tail(dtype, backend_of):
     """The block executor evaluates the tail in one array call; the stepped
     executor runs single_op per element. They agree bit for bit."""
     backend = backend_of(dtype)
-    strip = STRIP_BYTES // backend.dtype.itemsize
+    strip = axpy_strip(dtype)
     for unroll in UNROLLS:
         block = unroll * backend.width
         for n in [*range(1, block), strip + 5]:
@@ -392,7 +407,7 @@ def test_array_tail_matches_single_op_tail(dtype, backend_of):
 
 @pytest.mark.parametrize("stepped", [False, True])
 def test_one_tree_evaluated_from_four_threads(stepped):
-    n = 2 * (STRIP_BYTES // 4) + 7
+    n = 2 * axpy_strip("f32") + 7
     x, y = fresh_pair(n, "f32", seed=3)
     reduction = make_dot(x, y)
     source = as_node(x) + ScaleNode(0.75, as_node(y))
@@ -445,10 +460,14 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
     # 17 registers: over the budget of 16, so the plan falls back to U1
     footprint = AssignNode(as_node(out), spill).register_footprint
     assert footprint == DEFAULT_REGISTER_BUDGET + 1
+    t3 = (x + y) * (z - a * w)
     calls = {
         "dot": lambda: dot(x, y),
         "sum": lambda: vec_sum(x),
         "axpy": lambda: axpy(0.25, x, y),
+        "scal": lambda: scal(1.0, out),
+        "scaled_copy": lambda: scaled_copy(0.25, x, out),
+        "t3 tree": lambda: out.assign(t3),
         "spill tree": lambda: out.assign(spill),
     }
     limit = 256 * 1024
@@ -462,6 +481,10 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
         finally:
             tracemalloc.stop()
         assert peak <= limit, f"{name}: peak {peak} B, operand {operand} B"
+        if name in ("scal", "scaled_copy"):
+            # no scratch register: the multiply writes the destination,
+            # so only a few Python objects are allocated
+            assert peak <= 4096, f"{name}: peak {peak} B"
 
 
 def test_packages_do_not_change_results():
@@ -485,7 +508,7 @@ def test_exact_aliasing_source_equals_destination():
 
     # one whole strip, then a partial strip that ends in the scalar tail
     for dtype in map(as_dtype, DTYPES):
-        n = STRIP_BYTES // dtype.itemsize + 5
+        n = axpy_strip(dtype) + 5
         values = np.random.default_rng([7, n]).uniform(-2, 2, n).astype(dtype)
         a = dtype.type(-1.25)
         cases = {
@@ -498,6 +521,27 @@ def test_exact_aliasing_source_equals_destination():
                 x = DenseVector.from_values(values, dtype)
                 call(x, stepped=stepped)
                 assert x.to_array().tobytes() == want.tobytes(), (dtype, name, stepped)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("stepped", [False, True])
+def test_destination_read_by_the_roots_second_child(dtype, stepped):
+    """The destination is also a leaf of the root's right operand. A
+    non-leaf left operand must not be written into the destination strip
+    before the right one has read it, in any strip."""
+    trees = {
+        "(y + z) * x": lambda x, y, z: (y + z) * x,
+        "(x + y) * (x - z)": lambda x, y, z: (x + y) * (x - z),
+        "y - z * x": lambda x, y, z: y - z * x,
+    }
+    probe = DenseVector.zeros(1, dtype)
+    for name, tree in trees.items():
+        n = 2 * assign_strip_of(tree(probe, probe, probe), dtype) + 5
+        rng = np.random.default_rng([13, n])
+        xv, yv, zv = (rng.uniform(-2, 2, n).astype(as_dtype(dtype)) for _ in range(3))
+        x, y, z = (DenseVector.from_values(v, dtype) for v in (xv, yv, zv))
+        x.assign(tree(x, y, z), stepped=stepped)
+        assert x.to_array().tobytes() == tree(xv, yv, zv).tobytes(), name
 
 
 @pytest.mark.parametrize("stepped", [False, True])
@@ -518,6 +562,17 @@ def test_each_leaf_occurrence_is_read_exactly_once(stepped):
     assert x.read_count == 2 * n
     assert x.write_count == 0
     assert got == float(sum(i * i for i in range(n)))
+
+    # across block-executor strips: two whole strips and a partial one
+    a = np.float32(0.75)
+    n = 2 * axpy_strip() + 5
+    xv, yv = (np.random.default_rng([5, k]).uniform(-1, 1, n).astype(np.float32) for k in (0, 1))
+    x, y = CountingVector.from_values(xv), CountingVector.from_values(yv)
+    d = CountingVector.zeros(n)
+    d.assign(a * x + y, stepped=stepped)
+    assert x.read_count == n and y.read_count == n
+    assert d.write_count == n and d.read_count == 0
+    assert d.to_array().tobytes() == (a * xv + yv).tobytes()
 
 
 def test_reduction_matches_oracle_within_tolerance():

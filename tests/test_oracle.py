@@ -80,6 +80,9 @@ def test_counting_vector_counts_element_traffic():
     assert cv.read_element(0) == 5
     cv.write_element(1, 7)
     assert (cv.read_count, cv.write_count) == (2 + 4 + 1, 2 + 2 + 1)
+    # a writable window counts one write per element it spans
+    cv.write_window(2, 4)[:] = [9, 8]
+    assert (cv.read_count, cv.write_count) == (2 + 4 + 1, 2 + 2 + 1 + 2)
     cv.reset_counts()
     assert (cv.read_count, cv.write_count) == (0, 0)
     # counting never altered the payload

@@ -1,0 +1,148 @@
+"""Property tests: random expression trees against NumPy.
+
+Each tree has at most five operator levels over + - * and scaling, draws
+its leaves from four vectors, repeats them freely and may read the
+destination. The block executor runs it at a length of two of the tree's
+own strips plus a tail, and both executors run it at a short length with
+a tail, on both backends and at every unroll (the stepped one with one
+package and with one per slot). An assignment must be bit identical to
+the same NumPy expression in the element type; a reduction must equal
+its terms (that NumPy expression) summed in the documented order.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from lanevec.engine import (  # noqa: E402
+    STRIP_ITERATIONS,
+    assign_strip,
+    execute_reduce,
+    masked_length,
+)
+from lanevec.expressions import AssignNode, Scratch, SumNode, as_node  # noqa: E402
+from lanevec.lanes import as_dtype, scalar_backend, wide_backend  # noqa: E402
+from lanevec.vectors import DenseVector  # noqa: E402
+
+LEAVES = ("d", "x", "y", "z")  # "d" is the destination
+ALPHAS = (-1.5, -1.0, 0.5, 3.0)
+UNROLLS = (1, 2, 4, 8)
+BACKENDS = (scalar_backend, wide_backend)
+# A tree that needs no register runs in one strip at any length; it is
+# run at twice this length plus the tail.
+REGISTER_FREE_STRIP = 2048
+
+
+def trees(levels):
+    leaf = st.sampled_from(LEAVES)
+    if levels == 0:
+        return leaf
+    sub = trees(levels - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("scale"), st.sampled_from(ALPHAS), sub),
+    )
+
+
+def evaluate(tree, operands, scale):
+    """The tree over `operands` (vectors or arrays), in its own operand
+    order; `scale(alpha, value)` applies a scale node."""
+    if isinstance(tree, str):
+        return operands[tree]
+    if tree[0] == "scale":
+        return scale(tree[1], evaluate(tree[2], operands, scale))
+    a = evaluate(tree[1], operands, scale)
+    b = evaluate(tree[2], operands, scale)
+    return a + b if tree[0] == "+" else a - b if tree[0] == "-" else a * b
+
+
+def build(tree, vectors):
+    return as_node(evaluate(tree, vectors, lambda alpha, v: alpha * v))
+
+
+def numpy_value(tree, arrays, dtype):
+    return evaluate(tree, arrays, lambda alpha, a: dtype.type(alpha) * a)
+
+
+def documented_sum(terms, unroll, width):
+    """Lane j of slot s adds the terms at s*width + j of each main-loop
+    iteration in order, from +0; lanes fold left to right within a slot,
+    slots in order; the tail's terms add in order from +0, last."""
+    block = unroll * width
+    main = masked_length(len(terms), unroll, width)
+    lanes = np.vstack([np.zeros(block, terms.dtype), terms[:main].reshape(-1, block)])
+    slots = np.add.accumulate(lanes, axis=0)[-1].reshape(unroll, width)
+    total = None
+    for slot in slots:
+        row = slot[0]
+        for v in slot[1:]:
+            row = row + v
+        total = row if total is None else total + row
+    remainder = terms.dtype.type(0)
+    for v in terms[main:]:
+        remainder = remainder + v
+    return total + remainder
+
+
+def registers_taken(root, n):
+    """Scratch registers one block strip of n elements makes: all are back
+    in the pool when it ends."""
+    scratch = Scratch()
+    if isinstance(root, AssignNode):
+        root.block_commit(0, n, scratch)
+    else:
+        scratch.dest = None
+        root.child.block_op(0, n, np.empty(n, root.dtype), scratch)
+    return len(scratch)
+
+
+def check_tree(tree, dtype, n, rng, stepped_too):
+    values = {k: rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n) for k in LEAVES}
+    arrays = {k: v.astype(dtype) for k, v in values.items()}
+    expected = numpy_value(tree, arrays, dtype)
+    runs = [(False, 1)]
+    for backend_of in BACKENDS:
+        backend = backend_of(dtype)
+        for unroll in UNROLLS:
+            if stepped_too:
+                # packages shape only the stepped executor's bursts
+                runs = [(False, 1)] + [(True, p) for p in sorted({1, unroll})]
+            for stepped, packages in runs:
+                opts = dict(backend=backend, unroll=unroll, packages=packages)
+                vectors = {k: DenseVector.from_values(a, dtype) for k, a in arrays.items()}
+                vectors["d"].assign(build(tree, vectors), stepped=stepped, **opts)
+                where = (tree, n, backend.width, unroll, packages, stepped)
+                assert vectors["d"].to_array().tobytes() == expected.tobytes(), where
+
+                vectors = {k: DenseVector.from_values(a, dtype) for k, a in arrays.items()}
+                got = execute_reduce(SumNode(build(tree, vectors)), stepped=stepped, **opts)
+                want = documented_sum(expected, unroll, backend.width)
+                assert got.tobytes() == want.tobytes(), where
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    tree=trees(5),
+    dtype=st.sampled_from(["f32", "f64"]),
+    tail=st.integers(1, 127),
+    short=st.integers(1, 140),
+)
+def test_random_trees_match_numpy(tree, dtype, tail, short):
+    dtype = as_dtype(dtype)
+    probe = {k: DenseVector.zeros(1, dtype) for k in LEAVES}
+    root = AssignNode(as_node(probe["d"]), build(tree, probe))
+    strip = assign_strip(root, 1 << 40) if root.registers else REGISTER_FREE_STRIP
+    # two assignment strips, and at least two reduction strips at U1 on
+    # the scalar backend, plus a tail
+    long = 2 * max(strip, STRIP_ITERATIONS) + tail
+    rng = np.random.default_rng([short, tail])
+    # the counts made when the nodes were built are the registers used
+    assert registers_taken(root, 1) == root.registers
+    reduction = SumNode(build(tree, probe))
+    assert registers_taken(reduction, 1) == reduction.registers
+    check_tree(tree, dtype, long, rng, stepped_too=False)
+    check_tree(tree, dtype, short, rng, stepped_too=True)

@@ -3,6 +3,7 @@ import pytest
 
 from lanevec.expressions import AddNode, MulNode, ScaleNode, SubNode
 from lanevec.lanes import CONTAINER_ALIGNMENT
+from lanevec.oracle import CountingVector
 from lanevec.vectors import DenseVector
 
 DTYPES = ("f32", "f64")
@@ -90,6 +91,9 @@ def test_block_access_round_trip():
     v.write_element(0, 5)
     assert v.get(0) == 5
     assert v.to_values() == [5, 0, 1, 2, 3, 4, 0, 0]
+    window = v.write_window(6, 8)
+    window[:] = [7.0, 8.0]
+    assert v.to_values() == [5, 0, 1, 2, 3, 4, 7, 8]
 
 
 def test_operators_build_nodes_without_computing():
@@ -104,6 +108,27 @@ def test_operators_build_nodes_without_computing():
     # numpy scalars defer to the expression layer instead of broadcasting
     assert isinstance(np.float32(2.0) * x, ScaleNode)
     assert isinstance((x + y) - x * 2.0, SubNode)
+
+
+@pytest.mark.parametrize("make", [DenseVector.from_values, CountingVector.from_values])
+def test_in_place_operators_raise_and_leave_the_vector_alone(make):
+    x = make([1.0, 2.0])
+    y = make([3.0, 4.0])
+    vector = x
+    with pytest.raises(TypeError, match=r"x\.assign\(x \+ y\)"):
+        x += y
+    with pytest.raises(TypeError, match=r"x\.assign\(x - y\)"):
+        x -= y
+    with pytest.raises(TypeError, match=r"x\.assign\(x \* y\)"):
+        x *= 2.0
+    with pytest.raises(TypeError, match=r"x\.assign\(x \* y\)"):
+        x *= y
+    assert x is vector
+    assert x.to_values() == [1.0, 2.0]
+    # expressions are immutable, so += on one rebinds the name, as for tuples
+    e = x + y
+    e += y
+    assert isinstance(e, AddNode) and isinstance(e.left, AddNode)
 
 
 def test_assign_evaluates_expressions():
