@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops as _ops
-from .lanes import as_dtype, default_backend, dtype_name
+from .lanes import as_dtype, dtype_name
 from .oracle import (
     oracle_axpy,
     oracle_dot,
@@ -87,11 +87,6 @@ def flop_count(op: str, n: int) -> int:
 
 def bytes_moved(op: str, n: int, dtype) -> int:
     return _SCALARS_MOVED_PER_ELEMENT[op] * n * as_dtype(dtype).itemsize
-
-
-def simd_available(dtype="f32") -> bool:
-    """True when a batched lane backend is active for this element type."""
-    return default_backend(dtype).caps.specialized
 
 
 def _make_data(op: str, n: int, dtype, seed: int):

@@ -11,6 +11,12 @@ Evaluation of one expression follows a fixed shape:
     cleanup                       once
     reduction                     reduction roots only
 
+Every call goes to the root, an AssignNode or a SumNode, which reaches
+its operand tree through the per-slot calls. Roots are not operands, so
+a tree has exactly one. The root's temporary, from make_temporary, is
+the evaluation's only loop-wide state; it is not composed down the tree,
+and only init, single_op and reduction take it.
+
 Two interchangeable executors implement that shape. The stepped executor
 drives the node contract call by call and is what `call_trace` records;
 packages shape only its bursts and its trace, and it is the only one that
@@ -147,7 +153,6 @@ def select_plan(
     *,
     unroll: int = None,
     packages: int = None,
-    register_budget: int = None,
 ) -> UnrollPlan:
     """Pick a loop plan for an expression with the given register footprint.
 
@@ -162,15 +167,13 @@ def select_plan(
         raise PlanError(f"register footprint must be >= 1, got {footprint}")
     if length < 0:
         raise PlanError(f"length must be >= 0, got {length}")
-    if register_budget is None:
-        register_budget = DEFAULT_REGISTER_BUDGET
 
     width = caps.width
     if unroll is None:
         if caps.specialized:
             unroll = 1
             for u in UNROLL_FACTORS:
-                if u * footprint <= register_budget:
+                if u * footprint <= DEFAULT_REGISTER_BUDGET:
                     unroll = max(unroll, u)
         else:
             unroll = 1
@@ -243,7 +246,7 @@ def _run_stepped(root, backend, plan, length, reduce_root, trace=None):
     for s, storage in enumerate(slots):
         if rec:
             rec(TraceEvent("load_once", None, s))
-        root.load_once(storage, ts)
+        root.load_once(storage)
 
     i = 0
     while i < n:
@@ -253,15 +256,15 @@ def _run_stepped(root, backend, plan, length, reduce_root, trace=None):
             for k in range(span):
                 if rec:
                     rec(TraceEvent("load", base + k * width, first + k))
-                root.load(base + k * width, slots[first + k], ts)
+                root.load(base + k * width, slots[first + k])
             for k in range(span):
                 if rec:
                     rec(TraceEvent("vector_op", base + k * width, first + k))
-                root.vector_op(base + k * width, slots[first + k], ts)
+                root.vector_op(base + k * width, slots[first + k])
             for k in range(span):
                 if rec:
                     rec(TraceEvent("store", base + k * width, first + k))
-                root.store(base + k * width, slots[first + k], ts)
+                root.store(base + k * width, slots[first + k])
         i += plan.block
 
     for j in range(n, length):
@@ -271,7 +274,7 @@ def _run_stepped(root, backend, plan, length, reduce_root, trace=None):
 
     if rec:
         rec(TraceEvent("cleanup", None, None))
-    root.cleanup(ts)
+    root.cleanup()
 
     if reduce_root:
         if rec:

@@ -5,27 +5,44 @@ scalar times an operand, on either side, scales it, and unary minus
 scales by -1; every other operand must pass as_node, so a scalar added
 to or subtracted from a vector raises TypeError.
 
-Building a tree never touches vector elements. Each node implements the
-evaluation contract the loop engine drives:
+An evaluation has one root, an AssignNode or a SumNode, over an operand
+expression. Roots are not operands: they have no operators, and as_node
+and the root constructors reject them with TypeError, so `SumNode(x) + y`
+and `SumNode(SumNode(x))` fail when they are built.
+
+Building a tree never touches vector elements. Every node implements the
+per-slot contract the stepped executor drives:
+
+    load_once(s)          once per unroll slot, before the main loop
+    load(i, s)            pull lanes i..i+W-1 of every reachable leaf
+    vector_op(i, s)       combine loaded lanes
+    single_op(i)          scalar path for the remainder elements
+
+The root drives the loop and alone keeps loop-wide state: its temporary
+`ts` from make_temporary, None for an assignment and the remainder Cell
+for a reduction. init, store, cleanup and reduction exist only on roots,
+a root's vector_op and single_op commit instead of returning, and only
+the root calls that read ts take it:
 
     init(ts)              once per evaluation, before anything else
-    load_once(s, ts)      once per unroll slot, before the main loop
-    load(i, s, ts)        pull lanes i..i+W-1 of every reachable leaf
-    vector_op(i, s, ts)   combine loaded lanes; reductions fold into a
-                          per-slot accumulator and return it
-    store(i, s, ts)       roots write result lanes; a no-op elsewhere
-    single_op(i, ts)      scalar path for the remainder elements
-    cleanup(ts)           once, after the loops
+    vector_op(i, s)       keep the result lanes (assignment) or fold
+                          them into the slot accumulator (reduction)
+    store(i, s)           assignments write result lanes; a no-op in a
+                          reduction
+    single_op(i, ts)      write (assignment) or add (reduction) one
+                          remainder element
+    cleanup()             once, after the loops
     reduction(slots, ts)  reductions only: fold slot accumulators and the
                           scalar remainder into one value
 
 The block executor drives two calls instead, a strip at a time:
 
     block_op(lo, hi, out, scratch)
-                          write elements lo..hi-1 into the array `out`
-                          with the ufunc's out= and return it; given
-                          None, return the array the ufunc makes; a Leaf
-                          ignores `out` and returns its read-only view
+                          operands: write elements lo..hi-1 into the
+                          array `out` with the ufunc's out= and return
+                          it; given None, return the array the ufunc
+                          makes; a Leaf ignores `out` and returns its
+                          read-only view
     block_commit(lo, hi, scratch)
                           assignment roots: the source's block_op with
                           the destination's strip as `out`
@@ -43,11 +60,11 @@ the destination as out.
 
 Per-slot state lives in storage objects, composed structurally: a binary
 node's storage is exactly the pair of its children's storages, and a
-unary node's is the pair (its own lane register, its child's storage).
-Loop-wide state (the remainder accumulator) lives in temporary storage,
-composed the same way, with None for a unary node that keeps none. Both,
-and the block executor's Scratch, are built fresh per evaluation, so one
-expression value can be evaluated concurrently from several threads.
+unary node's (a ScaleNode or a root) is the pair (its own lane register,
+its child's storage). Loop-wide state is not composed, since only the
+root keeps any. Storage, temporary and the block executor's Scratch are
+built fresh per evaluation, so one expression value can be evaluated
+concurrently from several threads.
 """
 
 import math
@@ -83,7 +100,7 @@ class LengthMismatchError(ValueError):
 
 
 class Cell:
-    """Mutable holder for one loop-wide scalar inside temporary storage."""
+    """Mutable holder for one loop-wide scalar: a reduction's remainder."""
 
     __slots__ = ("value",)
 
@@ -129,6 +146,8 @@ def as_node(obj) -> "Expression":
         return obj
     if _is_vector(obj):
         return Leaf(obj)
+    if isinstance(obj, _Root):
+        raise TypeError(f"{type(obj).__name__} is an evaluation root, not an operand")
     raise TypeError(f"cannot use {type(obj).__name__} in a vector expression")
 
 
@@ -194,26 +213,13 @@ class VectorOperand(Operand):
         # engine imports this module, so its import waits for the call
         from .engine import execute_assign
 
-        execute_assign(AssignNode(Leaf(self), as_node(expression)), **plan_kwargs)
+        execute_assign(AssignNode(Leaf(self), expression), **plan_kwargs)
 
 
 class Expression(Operand):
-    """Base class: operator sugar plus the shared contract plumbing."""
+    """Base class of operand nodes, the ones a root evaluates."""
 
     __slots__ = ()
-
-    # Contract defaults; structural nodes override what they need.
-    def init(self, ts):
-        pass
-
-    def cleanup(self, ts):
-        pass
-
-    def load_once(self, s, ts):
-        pass
-
-    def store(self, i, s, ts):
-        pass
 
 
 class Leaf(Expression):
@@ -234,16 +240,16 @@ class Leaf(Expression):
     def make_storage(self, backend):
         return SlotCell(backend)
 
-    def make_temporary(self, backend):
-        return None
+    def load_once(self, s):
+        pass
 
-    def load(self, i, s, ts):
+    def load(self, i, s):
         s.value = LaneVector(self.vector.read_block(i, i + s.backend.width))
 
-    def vector_op(self, i, s, ts):
+    def vector_op(self, i, s):
         return s.value
 
-    def single_op(self, i, ts):
+    def single_op(self, i):
         return self.vector.read_element(i)
 
     def block_op(self, lo, hi, out, scratch):
@@ -284,37 +290,19 @@ class _BinaryNode(Expression):
     def make_storage(self, backend):
         return (self.left.make_storage(backend), self.right.make_storage(backend))
 
-    def make_temporary(self, backend):
-        return (self.left.make_temporary(backend), self.right.make_temporary(backend))
+    def load_once(self, s):
+        self.left.load_once(s[0])
+        self.right.load_once(s[1])
 
-    def init(self, ts):
-        self.left.init(ts[0])
-        self.right.init(ts[1])
+    def load(self, i, s):
+        self.left.load(i, s[0])
+        self.right.load(i, s[1])
 
-    def cleanup(self, ts):
-        self.left.cleanup(ts[0])
-        self.right.cleanup(ts[1])
+    def vector_op(self, i, s):
+        return self._combine(self.left.vector_op(i, s[0]), self.right.vector_op(i, s[1]))
 
-    def load_once(self, s, ts):
-        self.left.load_once(s[0], ts[0])
-        self.right.load_once(s[1], ts[1])
-
-    def load(self, i, s, ts):
-        self.left.load(i, s[0], ts[0])
-        self.right.load(i, s[1], ts[1])
-
-    def store(self, i, s, ts):
-        self.left.store(i, s[0], ts[0])
-        self.right.store(i, s[1], ts[1])
-
-    def vector_op(self, i, s, ts):
-        return self._combine(
-            self.left.vector_op(i, s[0], ts[0]),
-            self.right.vector_op(i, s[1], ts[1]),
-        )
-
-    def single_op(self, i, ts):
-        return self._combine(self.left.single_op(i, ts[0]), self.right.single_op(i, ts[1]))
+    def single_op(self, i):
+        return self._combine(self.left.single_op(i), self.right.single_op(i))
 
     def block_op(self, lo, hi, out, scratch):
         # Registers are taken in evaluation order, as `registers` counts
@@ -362,12 +350,12 @@ class MulNode(_BinaryNode):
     _symbol = "*"
 
 
-class _UnaryNode(Expression):
+class _UnaryNode:
     """One subtree plus a lane register of its own: storage is (own,
-    child's), temporary storage (None, child's), and the contract calls
-    pass through to the child's halves. It takes its child's scratch
-    registers: a ScaleNode passes its out down, and a root hands the child
-    its own out."""
+    child's), and load_once and load pass through to the child's half.
+    It takes its child's scratch registers: a ScaleNode passes its out
+    down, and a root hands the child its own out. The base of ScaleNode
+    and of the roots, which are not operands."""
 
     __slots__ = ("child", "dtype", "register_footprint", "registers")
 
@@ -383,26 +371,14 @@ class _UnaryNode(Expression):
     def make_storage(self, backend):
         return (SlotCell(backend), self.child.make_storage(backend))
 
-    def make_temporary(self, backend):
-        return (None, self.child.make_temporary(backend))
+    def load_once(self, s):
+        self.child.load_once(s[1])
 
-    def init(self, ts):
-        self.child.init(ts[1])
-
-    def cleanup(self, ts):
-        self.child.cleanup(ts[1])
-
-    def load_once(self, s, ts):
-        self.child.load_once(s[1], ts[1])
-
-    def load(self, i, s, ts):
-        self.child.load(i, s[1], ts[1])
-
-    def store(self, i, s, ts):
-        self.child.store(i, s[1], ts[1])
+    def load(self, i, s):
+        self.child.load(i, s[1])
 
 
-class ScaleNode(_UnaryNode):
+class ScaleNode(_UnaryNode, Expression):
     """scalar * expression; the scalar is hoisted into a lane register once
     per slot in load_once, never reloaded inside the loop.
 
@@ -425,15 +401,15 @@ class ScaleNode(_UnaryNode):
         else:
             self.alpha = self.dtype.type(alpha)
 
-    def load_once(self, s, ts):
+    def load_once(self, s):
         s[0].value = s[0].backend.splat(self.alpha)
-        super().load_once(s, ts)
+        super().load_once(s)
 
-    def vector_op(self, i, s, ts):
-        return s[0].value * self.child.vector_op(i, s[1], ts[1])
+    def vector_op(self, i, s):
+        return s[0].value * self.child.vector_op(i, s[1])
 
-    def single_op(self, i, ts):
-        return self.alpha * self.child.single_op(i, ts[1])
+    def single_op(self, i):
+        return self.alpha * self.child.single_op(i)
 
     def block_op(self, lo, hi, out, scratch):
         child = self.child
@@ -446,7 +422,32 @@ class ScaleNode(_UnaryNode):
         return f"({float(self.alpha)!r} * {self.child!r})"
 
 
-class AssignNode(_UnaryNode):
+class _Root(_UnaryNode):
+    """Evaluation root over one operand expression; a vector child is
+    wrapped in a Leaf. A root is not an operand: it has no operators, and
+    as_node, so also this constructor, rejects one with TypeError. Only
+    roots have the loop-wide contract calls; these defaults keep no
+    temporary and do nothing."""
+
+    __slots__ = ()
+
+    def __init__(self, child):
+        super().__init__(as_node(child))
+
+    def make_temporary(self, backend):
+        return None
+
+    def init(self, ts):
+        pass
+
+    def store(self, i, s):
+        pass
+
+    def cleanup(self):
+        pass
+
+
+class AssignNode(_Root):
     """Evaluation root writing an elementwise expression into a destination.
 
     The destination is never read, only written, so an out-of-place scaled
@@ -464,14 +465,15 @@ class AssignNode(_UnaryNode):
     def __init__(self, dest: Leaf, source: Expression):
         if not isinstance(dest, Leaf):
             raise TypeError("assignment destination must be a vector leaf")
-        if dest.dtype != source.dtype:
-            raise TypeError(
-                f"mixed element types in assignment: {dest.dtype} vs {source.dtype}"
-            )
         super().__init__(source)
+        if dest.dtype != self.dtype:
+            raise TypeError(
+                f"mixed element types in assignment: {dest.dtype} vs {self.dtype}"
+            )
         self.dest = dest
         # With the destination as out, the first binary node below any
         # scale nodes keeps a non-leaf left result in a register of its own.
+        source = self.child
         while type(source) is ScaleNode:
             source = source.child
         if isinstance(source, _BinaryNode) and type(source.left) is not Leaf:
@@ -483,19 +485,15 @@ class AssignNode(_UnaryNode):
         yield self.dest
         yield from self.child.leaves()
 
-    def vector_op(self, i, s, ts):
-        v = self.child.vector_op(i, s[1], ts[1])
-        s[0].value = v
-        return v
+    def vector_op(self, i, s):
+        s[0].value = self.child.vector_op(i, s[1])
 
-    def store(self, i, s, ts):
+    def store(self, i, s):
         lanes = s[0].value.lanes
         self.dest.vector.write_block(i, i + lanes.shape[0], lanes)
 
     def single_op(self, i, ts):
-        v = self.child.single_op(i, ts[1])
-        self.dest.vector.write_element(i, v)
-        return v
+        self.dest.vector.write_element(i, self.child.single_op(i))
 
     def block_commit(self, lo, hi, scratch):
         out = scratch.dest = self.dest.vector.write_window(lo, hi)
@@ -507,15 +505,15 @@ class AssignNode(_UnaryNode):
         return f"Assign({self.dest!r} <- {self.child!r})"
 
 
-class SumNode(_UnaryNode):
+class SumNode(_Root):
     """Reduction root: sums the operand expression over all indices.
 
     Each unroll slot keeps a lane accumulator; remainder elements add, in
-    index order, into a scalar accumulator that starts at +0 in temporary
-    storage. `reduction` folds slot accumulators in ascending slot order,
-    lanes left to right within each, then adds the remainder last, so a
-    result is reproducible for a fixed plan. The contract calls here are
-    the stepped executor's; the block executor keeps the accumulators
+    index order, into a scalar accumulator, the temporary Cell, that
+    starts at +0. `reduction` folds slot accumulators in ascending slot
+    order, lanes left to right within each, then adds the remainder last,
+    so a result is reproducible for a fixed plan. The contract calls here
+    are the stepped executor's; the block executor keeps the accumulators
     itself and has `child.block_op` write the summands of each strip into
     the rows of its fold buffer (private scratch), and the tail's, in one
     more call, into an array of their own.
@@ -524,27 +522,23 @@ class SumNode(_UnaryNode):
     __slots__ = ()
 
     def make_temporary(self, backend):
-        return (Cell(), self.child.make_temporary(backend))
+        return Cell()
 
     def init(self, ts):
-        ts[0].value = self.dtype.type(0)
-        super().init(ts)
+        ts.value = self.dtype.type(0)
 
-    def load_once(self, s, ts):
+    def load_once(self, s):
         s[0].value = s[0].backend.splat(0)
-        super().load_once(s, ts)
+        super().load_once(s)
 
-    def vector_op(self, i, s, ts):
-        s[0].value = s[0].value + self.child.vector_op(i, s[1], ts[1])
-        return s[0].value
+    def vector_op(self, i, s):
+        s[0].value = s[0].value + self.child.vector_op(i, s[1])
 
     def single_op(self, i, ts):
-        v = self.child.single_op(i, ts[1])
-        ts[0].value = ts[0].value + v
-        return v
+        ts.value = ts.value + self.child.single_op(i)
 
     def reduction(self, slots, ts):
-        return combine_partials([s[0].value.lanes for s in slots], ts[0].value)
+        return combine_partials([s[0].value.lanes for s in slots], ts.value)
 
     def __repr__(self):
         return f"Sum({self.child!r})"
@@ -562,7 +556,7 @@ def combine_partials(rows, remainder):
     return np.cumsum(row_totals)[-1] + remainder
 
 
-def common_length(root: Expression) -> int:
+def common_length(root) -> int:
     """Common element count of every leaf, checked before any element is
     touched."""
     length = None

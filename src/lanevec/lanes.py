@@ -78,9 +78,6 @@ class LaneVector:
     def width(self) -> int:
         return self.lanes.shape[0]
 
-    def lane(self, k: int):
-        return self.lanes[k]
-
     def __add__(self, other):
         return LaneVector(self.lanes + other.lanes)
 
@@ -132,9 +129,6 @@ class LaneBackend:
         if not isinstance(value, numbers.Real):
             raise TypeError(f"expected a real scalar, got {type(value).__name__}")
         return self.dtype.type(value)
-
-    def zero_scalar(self):
-        return self.dtype.type(0)
 
     def load_aligned(self, region: np.ndarray, offset: int) -> LaneVector:
         """Read lanes region[offset : offset+W].

@@ -27,7 +27,6 @@ from lanevec.bench import (
     emit_csv,
     flop_count,
     run_sweep,
-    simd_available,
 )
 from lanevec.engine import masked_length
 from lanevec.expressions import AssignNode, ScaleNode, as_node
@@ -328,8 +327,6 @@ def test_reduction_error_bound_at_large_n(dtype):
 
 
 def test_criterion_7_performance_smoke():
-    if not simd_available("f32"):
-        pytest.skip("no batched lane backend on this host; performance smoke skipped")
     records = run_sweep(
         ["dot"], ["engine", "naive"], [4096], dtype="f32", reps=25, warmup=5, seed=7
     )

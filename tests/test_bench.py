@@ -16,7 +16,6 @@ from lanevec.bench import (
     measure,
     parse_csv,
     run_sweep,
-    simd_available,
 )
 
 
@@ -182,10 +181,6 @@ def test_cli_cache_sizes_ignored_on_stdout(capsys):
                  "--variants", "engine", "--cache-sizes", "1024"])
     assert code == 0
     assert "ignored" in capsys.readouterr().err
-
-
-def test_simd_available_reports_backend_capability():
-    assert simd_available("f32") in (True, False)
 
 
 @pytest.mark.parametrize("op", ["scal", "axpy"])

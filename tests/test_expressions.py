@@ -82,6 +82,27 @@ def test_assignment_destination_must_be_a_leaf():
         AssignNode(as_node(x) + as_node(x), as_node(x))
 
 
+def test_roots_are_not_operands():
+    """An assignment or reduction root cannot sit inside another tree: the
+    operators, as_node and the root constructors raise when it is built,
+    before either executor could evaluate it as something else."""
+    x, y, d = vec(1, 2), vec(3, 4), vec(0, 0)
+    builds = {
+        "SumNode(x) + y": lambda: SumNode(as_node(x)) + y,
+        "2.0 * SumNode(x)": lambda: 2.0 * SumNode(as_node(x)),
+        "-AssignNode(d, x)": lambda: -AssignNode(as_node(d), as_node(x)),
+        "SumNode(SumNode(x))": lambda: SumNode(SumNode(as_node(x))),
+        "AssignNode(d, SumNode(x))": lambda: AssignNode(as_node(d), SumNode(as_node(x))),
+        "d.assign(SumNode(x))": lambda: d.assign(SumNode(as_node(x))),
+    }
+    for name, build in builds.items():
+        with pytest.raises(TypeError):
+            build()
+        assert d.to_values() == [0, 0], name
+    with pytest.raises(TypeError, match="root"):
+        as_node(SumNode(as_node(x)))
+
+
 def test_scale_alpha_is_coerced_to_element_type():
     node32 = ScaleNode(0.1, as_node(vec(1)))
     assert type(node32.alpha) is np.float32
@@ -180,7 +201,7 @@ def test_storage_composes_pairwise_from_children():
     s = reduction.make_storage(be)
     assert isinstance(s[0], SlotCell)  # the slot accumulator
     ts = reduction.make_temporary(be)
-    assert isinstance(ts[0], Cell)  # the scalar remainder accumulator
+    assert isinstance(ts, Cell)  # the scalar remainder accumulator
 
 
 def test_repr_smoke():

@@ -39,7 +39,6 @@ def test_splat_fills_every_lane(dtype):
     be = wide_backend(dtype, 4)
     assert list(be.splat(0)) == [0, 0, 0, 0]
     assert list(be.splat(2.5)) == [2.5, 2.5, 2.5, 2.5]
-    assert be.splat(2.5).lane(3) == 2.5
     assert be.splat(1.0).lanes.dtype == as_dtype(dtype)
 
 
@@ -55,7 +54,6 @@ def test_scalar_coercion():
     v = be.scalar(0.1)
     assert type(v) is np.float32
     assert v == np.float32(0.1)
-    assert be.zero_scalar() == 0
     with pytest.raises(TypeError):
         be.scalar("3")
     with pytest.raises(TypeError):
