@@ -34,10 +34,14 @@ strip-length array (see the block_op contract in expressions):
   leaves have been read, so a destination that is also a source leaf
   stays safe. The tail is just the end of the last strip, since every
   result is elementwise;
-- a reduction strip is STRIP_ITERATIONS main-loop iterations; its terms
-  are written into the rows of a buffer whose first row holds the slot
-  accumulators, and one fold down the rows adds each lane's terms in
-  iteration order; the tail's terms, fewer than a row, come from one
+- a sum over a bare leaf views the masked length as rows of U*W lanes,
+  one main-loop iteration per row, and one fold down the rows adds each
+  lane's elements in iteration order, with no strip and no copy. Any
+  other reduction runs in strips sized like an assignment's, with its
+  fold buffer as one more register and whole iterations per strip; a
+  strip's terms are written into the rows of that buffer, whose first
+  row holds the slot accumulators, and the same fold adds them. Every
+  lane starts at +0. The tail's terms, fewer than a row, come from one
   more call into an array of its own and are added in order.
 
 Neither executor makes a temporary longer than one strip, and the block
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AssignNode, Scratch, combine_partials, common_length
+from .expressions import AssignNode, Leaf, Scratch, combine_partials, common_length
 from .lanes import (
     CONTAINER_ALIGNMENT,
     LaneBackend,
@@ -72,21 +76,17 @@ __all__ = [
     "UNROLL_FACTORS",
     "DEFAULT_REGISTER_BUDGET",
     "SCRATCH_BYTES",
-    "STRIP_ITERATIONS",
     "assign_strip",
+    "reduce_strip",
 ]
 
 UNROLL_FACTORS = (1, 2, 4, 8)
 DEFAULT_REGISTER_BUDGET = 16
-# Bytes shared by the scratch registers of one block-executor assignment,
-# so that they stay in L2: one register gets 32768 f32 or 16384 f64
-# elements per strip, four get a quarter of that each.
+# Bytes shared by the scratch registers of one block-executor strip, so
+# that they stay in L2: one register gets 32768 f32 or 16384 f64 elements
+# per strip, four get a quarter of that each. A reduction's fold buffer
+# counts as one more register, so `dot` runs strips of one register.
 SCRATCH_BYTES = 128 * 1024
-# Main-loop iterations in one block-executor reduction strip: at most
-# 8 slots of 64 bytes each, so 32 KiB, and fewer, shorter strips for a
-# plan with a smaller U*W, so unrolling still cuts a reduction's
-# per-strip interpreter cost.
-STRIP_ITERATIONS = 64
 
 
 class PlanError(ValueError):
@@ -283,18 +283,31 @@ def _run_stepped(root, backend, plan, length, reduce_root, trace=None):
     return None
 
 
+def _strip(registers: int, dtype, length: int) -> int:
+    """The strip rule of assign_strip, for `registers` registers."""
+    if registers:
+        lines = SCRATCH_BYTES // (registers * CONTAINER_ALIGNMENT) or 1
+        strip = lines * (CONTAINER_ALIGNMENT // dtype.itemsize)
+        if strip < length:
+            return strip
+    return length or 1
+
+
 def assign_strip(root, length: int) -> int:
     """Elements in one block-executor strip of an assignment root: its
     scratch registers share SCRATCH_BYTES in whole 64-byte lines, at least
     one line each; a root that needs no register, or a shorter vector,
     runs in one strip."""
-    registers = root.registers
-    if registers:
-        lines = SCRATCH_BYTES // (registers * CONTAINER_ALIGNMENT) or 1
-        strip = lines * (CONTAINER_ALIGNMENT // root.dtype.itemsize)
-        if strip < length:
-            return strip
-    return length or 1
+    return _strip(root.registers, root.dtype, length)
+
+
+def reduce_strip(root, block: int, length: int) -> int:
+    """Elements in one block-executor strip of a reduction root over the
+    `length` elements of its main loop, `block` (U*W) per iteration: the
+    rule of assign_strip with the fold buffer as one more register, cut
+    to whole iterations, at least one."""
+    strip = _strip(root.registers + 1, root.dtype, length)
+    return max(strip - strip % block, block)
 
 
 def _run_block_assign(root, length):
@@ -312,32 +325,41 @@ def _run_block_assign(root, length):
 def _run_block_reduce(root, plan, length):
     block = plan.block
     n = plan.masked_length
-    strip = STRIP_ITERATIONS * block
-    terms = root.child.block_op
+    child = root.child
+    terms = child.block_op
     scratch = Scratch()
     scratch.dest = None
-    # Row 0 holds the flat slot-accumulator lanes (slot s at
-    # [s*width, (s+1)*width)); a strip's terms are written into the rows
-    # below it, one main-loop iteration per row, and a fold down the rows
-    # adds them to each lane in iteration order.
-    buf = np.zeros((min(STRIP_ITERATIONS, n // block) + 1, block), dtype=root.dtype)
-    flat = buf.ravel()
-    for lo in range(0, n, strip):
-        hi = lo + strip
-        if hi > n:
-            hi = n
-            scratch.fit(hi - lo)
-        rows = (hi - lo) // block
-        out = flat[block : block + hi - lo]
-        values = terms(lo, hi, out, scratch)
-        if values is not out:
-            out[...] = values  # a leaf's own storage is copied
-        if block > 1:
-            buf[0] = np.add.reduce(buf[: rows + 1], axis=0)
-        else:
-            # a (rows, 1) buffer collapses to 1-D, where add.reduce sums
-            # pairwise; accumulate stays sequential
-            buf[0] = np.add.accumulate(buf[: rows + 1], axis=0)[-1]
+    if type(child) is Leaf and block > 1:
+        # Row r of the view holds main-loop iteration r, lane j of slot s
+        # at column s*width + j; the fold adds each column in row order.
+        # At U*W = 1 the view would collapse to 1-D, so it takes strips.
+        view = child.vector.read_block(0, n).reshape(-1, block)
+        lanes = np.add.reduce(view, axis=0, initial=0)
+    else:
+        # Row 0 holds the slot-accumulator lanes; a strip's terms are
+        # written into the rows below it, one iteration per row, and the
+        # fold writes into `lanes`, not over its own input row 0.
+        strip = reduce_strip(root, block, n)
+        buf = np.zeros((min(strip, n) // block + 1, block), dtype=root.dtype)
+        flat = buf.ravel()
+        lanes = buf[0].copy()
+        for lo in range(0, n, strip):
+            hi = lo + strip
+            if hi > n:
+                hi = n
+                scratch.fit(hi - lo)
+            rows = (hi - lo) // block
+            out = flat[block : block + hi - lo]
+            values = terms(lo, hi, out, scratch)
+            if values is not out:
+                out[...] = values  # a leaf's own storage is copied
+            if block > 1:
+                np.add.reduce(buf[: rows + 1], axis=0, out=lanes)
+            else:
+                # a (rows, 1) buffer collapses to 1-D, where add.reduce
+                # sums pairwise; accumulate stays sequential
+                lanes = np.add.accumulate(buf[: rows + 1], axis=0)[-1]
+            buf[0] = lanes
     # The tail's terms are added in order. The stepped executor adds them
     # to a remainder that starts at +0; starting at the first term instead
     # differs only in giving -0 for a tail of -0 terms, and that vanishes
@@ -347,7 +369,7 @@ def _run_block_reduce(root, plan, length):
         # fewer terms than a row: the ufunc makes their array
         scratch.fit(length - n)
         remainder = np.add.accumulate(terms(n, length, None, scratch))[-1]
-    return combine_partials(buf[0].reshape(plan.unroll, plan.width), remainder)
+    return combine_partials(lanes.reshape(plan.unroll, plan.width), remainder)
 
 
 def execute_assign(

@@ -146,9 +146,13 @@ def as_node(obj) -> "Expression":
         return obj
     if _is_vector(obj):
         return Leaf(obj)
+    _reject_root(obj)
+    raise TypeError(f"cannot use {type(obj).__name__} in a vector expression")
+
+
+def _reject_root(obj):
     if isinstance(obj, _Root):
         raise TypeError(f"{type(obj).__name__} is an evaluation root, not an operand")
-    raise TypeError(f"cannot use {type(obj).__name__} in a vector expression")
 
 
 class Operand:
@@ -269,6 +273,8 @@ class _BinaryNode(Expression):
     _symbol = "?"
 
     def __init__(self, left: Expression, right: Expression):
+        _reject_root(left)
+        _reject_root(right)
         if left.dtype != right.dtype:
             raise TypeError(
                 f"mixed element types in expression: {left.dtype} vs {right.dtype}"
@@ -390,6 +396,7 @@ class ScaleNode(_UnaryNode, Expression):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha, child: Expression):
+        _reject_root(child)
         super().__init__(child)
         if abs(float(alpha)) > _LARGEST_FINITE[self.dtype]:
             # only here can the cast round to inf; errstate costs ~2 us, so
@@ -512,11 +519,15 @@ class SumNode(_Root):
     index order, into a scalar accumulator, the temporary Cell, that
     starts at +0. `reduction` folds slot accumulators in ascending slot
     order, lanes left to right within each, then adds the remainder last,
-    so a result is reproducible for a fixed plan. The contract calls here
-    are the stepped executor's; the block executor keeps the accumulators
-    itself and has `child.block_op` write the summands of each strip into
-    the rows of its fold buffer (private scratch), and the tail's, in one
-    more call, into an array of their own.
+    so a result is reproducible for a fixed plan. Every lane starts at +0
+    on both executors, so a sum whose terms are all -0 is +0.
+
+    The contract calls here are the stepped executor's; the block executor
+    keeps the accumulators itself. Over a bare leaf it folds the leaf's
+    masked length, viewed as rows of U*W lanes, in one call; any other
+    child's `block_op` writes the summands of each strip into the rows of
+    its fold buffer (private scratch), and the tail's, in one more call,
+    into an array of their own.
     """
 
     __slots__ = ()
@@ -551,9 +562,9 @@ def combine_partials(rows, remainder):
     they agree bit for bit."""
     if len(rows) == 0:
         return remainder
-    # cumsum adds strictly in sequence; np.sum would add pairwise
-    row_totals = np.cumsum(rows, axis=1)[:, -1]
-    return np.cumsum(row_totals)[-1] + remainder
+    # accumulate adds strictly in sequence; np.sum would add pairwise
+    row_totals = np.add.accumulate(rows, axis=1)[:, -1]
+    return np.add.accumulate(row_totals)[-1] + remainder
 
 
 def common_length(root) -> int:

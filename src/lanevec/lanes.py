@@ -4,6 +4,7 @@ Everything above this layer talks in lane vectors and never sees how a
 backend actually moves or combines the W elements.
 """
 
+import functools
 import numbers
 
 import numpy as np
@@ -153,8 +154,8 @@ def horizontal_sum(v: LaneVector):
     The fixed order makes reductions reproducible across backends of equal
     width; it intentionally matches a plain sequential loop over the lanes.
     """
-    # cumsum adds strictly in sequence; np.sum would add pairwise
-    return np.cumsum(v.lanes)[-1]
+    # accumulate adds strictly in sequence; np.sum would add pairwise
+    return np.add.accumulate(v.lanes)[-1]
 
 
 def scalar_backend(dtype) -> LaneBackend:
@@ -172,6 +173,9 @@ def wide_backend(dtype, width: int | None = None) -> LaneBackend:
     return LaneBackend(dt, width, specialized=True)
 
 
+@functools.cache
 def default_backend(dtype) -> LaneBackend:
-    """Backend evaluations use when none is pinned."""
+    """Backend evaluations use when none is pinned: one per dtype spelling,
+    made on first use and shared by every later call, so callers must not
+    change it."""
     return wide_backend(dtype)

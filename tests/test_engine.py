@@ -7,7 +7,6 @@ import pytest
 
 from lanevec.engine import (
     DEFAULT_REGISTER_BUDGET,
-    STRIP_ITERATIONS,
     PlanError,
     UnrollPlan,
     assign_strip,
@@ -15,6 +14,7 @@ from lanevec.engine import (
     execute_assign,
     execute_reduce,
     masked_length,
+    reduce_strip,
     select_plan,
 )
 from lanevec.expressions import AssignNode, ScaleNode, SumNode, as_node
@@ -34,6 +34,10 @@ def make_axpy(alpha, x, y):
 
 def make_dot(x, y):
     return SumNode(as_node(x) * as_node(y))
+
+
+# reductions over a pair of vectors: a product tree, and a bare leaf
+REDUCTIONS = {"dot": make_dot, "sum": lambda x, y: SumNode(as_node(x))}
 
 
 def assign_strip_of(source, dtype="f32"):
@@ -322,10 +326,11 @@ def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
             execute_assign(AssignNode(as_node(d_step), source), stepped=True, **opts)
             assert d_block.to_array().tobytes() == d_step.to_array().tobytes()
 
-            r_block = execute_reduce(make_dot(x, y), **opts)
-            r_step = execute_reduce(make_dot(x, y), stepped=True, **opts)
-            assert r_block.tobytes() == r_step.tobytes()
-            assert type(r_block) is type(r_step)
+            for make in REDUCTIONS.values():
+                r_block = execute_reduce(make(x, y), **opts)
+                r_step = execute_reduce(make(x, y), stepped=True, **opts)
+                assert r_block.tobytes() == r_step.tobytes()
+                assert type(r_block) is type(r_step)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -334,23 +339,24 @@ def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
 def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
     backend = backend_of(dtype)
     block = unroll * backend.width
+    v = DenseVector.zeros(1, dtype)
+    strips = {axpy_strip(dtype), reduce_strip(make_dot(v, v), block, 1 << 40)}
 
-    def around(s):
-        return (s - 1, s, s + 1, 2 * s + block - 1, 3 * s + 5)
-
-    # Around an assignment strip, then around a reduction strip. The block
-    # executor ignores packages, so it runs once per length. The stepped
-    # executor has no strips: it runs one package at every length, and one
-    # package per slot only at the shorter reduction-strip lengths.
-    cases = [(n, [1]) for n in around(axpy_strip(dtype))]
-    cases += [(n, sorted({1, unroll})) for n in around(STRIP_ITERATIONS * block)]
+    # Around an assignment strip and a reduction strip, and past two of
+    # them plus a tail (a third strip at U*W = 1). The block executor
+    # ignores packages and the stepped executor has no strips, so both run
+    # one package at these lengths, and one package per slot only at one
+    # short length.
+    cases = [(n, [1]) for s in strips for n in (s - 1, s, s + 1, 2 * s + block + 3)]
+    cases.append((4 * block + 3, sorted({1, unroll})))
     for n, packages_choices in cases:
         x, y = fresh_pair(n, dtype, seed=n)
         source = as_node(x) + ScaleNode(0.75, as_node(y))
         opts = dict(backend=backend, unroll=unroll)
         d_block = DenseVector.zeros(n, dtype)
         execute_assign(AssignNode(as_node(d_block), source), **opts)
-        r_block = execute_reduce(make_dot(x, y), **opts)
+        r_block = {name: execute_reduce(make(x, y), **opts)
+                   for name, make in REDUCTIONS.items()}
         for packages in packages_choices:
             d_step = DenseVector.zeros(n, dtype)
             execute_assign(
@@ -359,9 +365,30 @@ def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
             got, want = d_block.to_array().tobytes(), d_step.to_array().tobytes()
             assert got == want, (n, packages)
 
-            r_step = execute_reduce(make_dot(x, y), stepped=True, packages=packages, **opts)
-            assert r_block.tobytes() == r_step.tobytes(), (n, packages)
-            assert type(r_block) is type(r_step) is backend.dtype.type
+            for name, make in REDUCTIONS.items():
+                r_step = execute_reduce(make(x, y), stepped=True, packages=packages, **opts)
+                assert r_block[name].tobytes() == r_step.tobytes(), (name, n, packages)
+                assert type(r_block[name]) is type(r_step) is backend.dtype.type
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
+def test_negative_zero_terms_sum_to_positive_zero(dtype, backend_of):
+    """Every lane and the remainder start at +0 on both executors, so a
+    sum or dot whose terms are all -0.0 is +0.0, with a tail or without."""
+    backend = backend_of(dtype)
+    for unroll in UNROLLS:
+        block = unroll * backend.width
+        for n in sorted({block - 1, 3 * block, 4 * block - 1} - {0}):
+            x = DenseVector.from_values(np.full(n, -0.0), dtype)
+            y = DenseVector.from_values(np.ones(n), dtype)
+            opts = dict(backend=backend, unroll=unroll)
+            for name, make in REDUCTIONS.items():
+                r_block = execute_reduce(make(x, y), **opts)
+                r_step = execute_reduce(make(x, y), stepped=True, **opts)
+                where = (name, n, unroll)
+                assert r_block.tobytes() == r_step.tobytes(), where
+                assert r_block == 0 and not np.signbit(r_block), where
 
 
 # (x, y) values put in the tail: one NaN or infinity in its middle, or -0.0

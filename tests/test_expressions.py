@@ -94,6 +94,9 @@ def test_roots_are_not_operands():
         "SumNode(SumNode(x))": lambda: SumNode(SumNode(as_node(x))),
         "AssignNode(d, SumNode(x))": lambda: AssignNode(as_node(d), SumNode(as_node(x))),
         "d.assign(SumNode(x))": lambda: d.assign(SumNode(as_node(x))),
+        "ScaleNode(2.0, SumNode(x))": lambda: ScaleNode(2.0, SumNode(as_node(x))),
+        "AddNode(SumNode(x), y)": lambda: AddNode(SumNode(as_node(x)), as_node(y)),
+        "MulNode(x, SumNode(y))": lambda: MulNode(as_node(x), SumNode(as_node(y))),
     }
     for name, build in builds.items():
         with pytest.raises(TypeError):

@@ -18,10 +18,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from lanevec.engine import (  # noqa: E402
-    STRIP_ITERATIONS,
     assign_strip,
     execute_reduce,
     masked_length,
+    reduce_strip,
 )
 from lanevec.expressions import AssignNode, Scratch, SumNode, as_node  # noqa: E402
 from lanevec.lanes import as_dtype, scalar_backend, wide_backend  # noqa: E402
@@ -135,14 +135,14 @@ def test_random_trees_match_numpy(tree, dtype, tail, short):
     dtype = as_dtype(dtype)
     probe = {k: DenseVector.zeros(1, dtype) for k in LEAVES}
     root = AssignNode(as_node(probe["d"]), build(tree, probe))
+    reduction = SumNode(build(tree, probe))
     strip = assign_strip(root, 1 << 40) if root.registers else REGISTER_FREE_STRIP
-    # two assignment strips, and at least two reduction strips at U1 on
-    # the scalar backend, plus a tail
-    long = 2 * max(strip, STRIP_ITERATIONS) + tail
+    # two assignment strips and two reduction strips, plus a tail; cut to
+    # no whole iteration, the strip at U*W = 1 is the longest
+    long = 2 * max(strip, reduce_strip(reduction, 1, 1 << 40)) + tail
     rng = np.random.default_rng([short, tail])
     # the counts made when the nodes were built are the registers used
     assert registers_taken(root, 1) == root.registers
-    reduction = SumNode(build(tree, probe))
     assert registers_taken(reduction, 1) == reduction.registers
     check_tree(tree, dtype, long, rng, stepped_too=False)
     check_tree(tree, dtype, short, rng, stepped_too=True)
