@@ -44,6 +44,15 @@ strip-length array (see the block_op contract in expressions):
   lane starts at +0. The tail's terms, fewer than a row, come from one
   more call into an array of its own and are added in order.
 
+A call builds only what its executor reads. The element count is the
+root's `length`, checked when the tree was built. With no plan, backend,
+unroll or packages, the block executor builds no plan: an assignment's
+strips read neither a plan nor a backend, and a reduction reads only U,
+from select_plan's unroll rule memoized per footprint, and W, from the
+default backend. Any of those overrides, stepped=True and call_trace
+pass through _resolve, which checks the plan against the tree and the
+backend before anything runs.
+
 Neither executor makes a temporary longer than one strip, and the block
 executor's scratch registers are made once per evaluation. Both commit
 elements in the same order and accumulate every lane and the remainder in
@@ -51,12 +60,13 @@ the same order, so their results are bit identical; the test suite pins
 that equivalence.
 """
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AssignNode, Leaf, Scratch, combine_partials, common_length
+from .expressions import AssignNode, Leaf, Scratch, combine_partials
 from .lanes import (
     CONTAINER_ALIGNMENT,
     LaneBackend,
@@ -170,13 +180,7 @@ def select_plan(
 
     width = caps.width
     if unroll is None:
-        if caps.specialized:
-            unroll = 1
-            for u in UNROLL_FACTORS:
-                if u * footprint <= DEFAULT_REGISTER_BUDGET:
-                    unroll = max(unroll, u)
-        else:
-            unroll = 1
+        unroll = _default_unroll(footprint, caps.specialized)
     elif unroll not in UNROLL_FACTORS:
         raise PlanError(
             f"unroll override must be one of {UNROLL_FACTORS}, got {unroll}"
@@ -188,11 +192,26 @@ def select_plan(
     return UnrollPlan(unroll, width, packages, masked_length(length, unroll, width))
 
 
+# Footprints in use are few; the bound only caps a process that makes many.
+@functools.lru_cache(maxsize=256)
+def _default_unroll(footprint: int, specialized: bool) -> int:
+    """select_plan's default unroll factor, memoized, so that a default
+    evaluation reads it without building a plan."""
+    unroll = 1
+    if specialized:
+        for u in UNROLL_FACTORS:
+            if u * footprint <= DEFAULT_REGISTER_BUDGET:
+                unroll = max(unroll, u)
+    return unroll
+
+
 TraceEvent = namedtuple("TraceEvent", ["kind", "index", "slot"])
 
 
 def _resolve(root, plan, backend, unroll, packages):
-    length = common_length(root)
+    """The backend and plan of a call that passes overrides or runs
+    stepped, each checked against the tree and the other."""
+    length = root.length
     if backend is None:
         if plan is not None and plan.width == 1:
             backend = scalar_backend(root.dtype)
@@ -228,10 +247,16 @@ def _resolve(root, plan, backend, unroll, packages):
                 f"plan was built for a different length (masked {plan.masked_length}, "
                 f"vector length {length})"
             )
-    return length, backend, plan
+    return backend, plan
 
 
-def _run_stepped(root, backend, plan, length, reduce_root, trace=None):
+def _overridden(plan, backend, unroll, packages) -> bool:
+    """Whether a call passes anything _resolve must check."""
+    return not (plan is None and backend is None and unroll is None and packages is None)
+
+
+def _run_stepped(root, backend, plan, reduce_root, trace=None):
+    length = root.length
     width = plan.width
     span = plan.slots_per_package
     n = plan.masked_length
@@ -310,7 +335,8 @@ def reduce_strip(root, block: int, length: int) -> int:
     return max(strip - strip % block, block)
 
 
-def _run_block_assign(root, length):
+def _run_block_assign(root):
+    length = root.length
     strip = assign_strip(root, length)
     commit = root.block_commit
     scratch = Scratch()
@@ -322,9 +348,10 @@ def _run_block_assign(root, length):
         commit(lo, hi, scratch)
 
 
-def _run_block_reduce(root, plan, length):
-    block = plan.block
-    n = plan.masked_length
+def _run_block_reduce(root, unroll, width):
+    length = root.length
+    block = unroll * width
+    n = masked_length(length, unroll, width)
     child = root.child
     terms = child.block_op
     scratch = Scratch()
@@ -369,7 +396,7 @@ def _run_block_reduce(root, plan, length):
         # fewer terms than a row: the ufunc makes their array
         scratch.fit(length - n)
         remainder = np.add.accumulate(terms(n, length, None, scratch))[-1]
-    return combine_partials(lanes.reshape(plan.unroll, plan.width), remainder)
+    return combine_partials(lanes.reshape(unroll, width), remainder)
 
 
 def execute_assign(
@@ -384,11 +411,12 @@ def execute_assign(
     """Evaluate an assignment tree, writing every destination element once."""
     if not isinstance(root, AssignNode):
         raise TypeError("execute_assign requires an assignment root")
-    length, backend, plan = _resolve(root, plan, backend, unroll, packages)
-    if stepped:
-        _run_stepped(root, backend, plan, length, reduce_root=False)
-    else:
-        _run_block_assign(root, length)
+    if stepped or _overridden(plan, backend, unroll, packages):
+        # the block executor reads neither; they are checked all the same
+        backend, plan = _resolve(root, plan, backend, unroll, packages)
+        if stepped:
+            return _run_stepped(root, backend, plan, reduce_root=False)
+    _run_block_assign(root)
 
 
 def execute_reduce(
@@ -403,10 +431,16 @@ def execute_reduce(
     """Evaluate a reduction tree and return its scalar value."""
     if not hasattr(root, "reduction"):
         raise TypeError("execute_reduce requires a reduction root")
-    length, backend, plan = _resolve(root, plan, backend, unroll, packages)
-    if stepped:
-        return _run_stepped(root, backend, plan, length, reduce_root=True)
-    return _run_block_reduce(root, plan, length)
+    if stepped or _overridden(plan, backend, unroll, packages):
+        backend, plan = _resolve(root, plan, backend, unroll, packages)
+        if stepped:
+            return _run_stepped(root, backend, plan, reduce_root=True)
+        return _run_block_reduce(root, plan.unroll, plan.width)
+    # the default plan's U and W, without building it
+    backend = default_backend(root.dtype)
+    return _run_block_reduce(
+        root, _default_unroll(root.register_footprint, backend.specialized), backend.width
+    )
 
 
 def call_trace(
@@ -424,9 +458,7 @@ def call_trace(
     reduction roots, reduction. index is the element index of lane calls,
     slot the unroll slot, None where not applicable.
     """
-    length, backend, plan = _resolve(root, plan, backend, unroll, packages)
+    backend, plan = _resolve(root, plan, backend, unroll, packages)
     trace = []
-    _run_stepped(
-        root, backend, plan, length, reduce_root=hasattr(root, "reduction"), trace=trace
-    )
+    _run_stepped(root, backend, plan, reduce_root=hasattr(root, "reduction"), trace=trace)
     return trace

@@ -10,8 +10,13 @@ expression. Roots are not operands: they have no operators, and as_node
 and the root constructors reject them with TypeError, so `SumNode(x) + y`
 and `SumNode(SumNode(x))` fail when they are built.
 
-Building a tree never touches vector elements. Every node implements the
-per-slot contract the stepped executor drives:
+Building a tree never touches vector elements, and checks lengths once:
+every node takes its element count, `length`, from its children when it
+is built, as it does its register counts, so a binary node or an
+assignment whose sides disagree raises LengthMismatchError before any
+element is read or written, and an evaluation reads root.length instead
+of walking the leaves. Every node implements the per-slot contract the
+stepped executor drives:
 
     load_once(s)          once per unroll slot, before the main loop
     load(i, s)            pull lanes i..i+W-1 of every reachable leaf
@@ -144,7 +149,8 @@ def as_node(obj) -> "Expression":
     # Test for Expression, not Operand: a vector is an Operand that needs a Leaf.
     if isinstance(obj, Expression):
         return obj
-    if _is_vector(obj):
+    # the package's own containers pass without the duck-typed test
+    if isinstance(obj, VectorOperand) or _is_vector(obj):
         return Leaf(obj)
     _reject_root(obj)
     raise TypeError(f"cannot use {type(obj).__name__} in a vector expression")
@@ -153,6 +159,18 @@ def as_node(obj) -> "Expression":
 def _reject_root(obj):
     if isinstance(obj, _Root):
         raise TypeError(f"{type(obj).__name__} is an evaluation root, not an operand")
+
+
+# Exact types settled before the numbers.Real check, an ABC check that
+# costs more than building the node it decides.
+_PLAIN_REALS = (float, int)
+
+
+def _is_real(obj) -> bool:
+    """isinstance(obj, numbers.Real), with the common cases tested first."""
+    if type(obj) in _PLAIN_REALS:
+        return True
+    return not isinstance(obj, Operand) and isinstance(obj, numbers.Real)
 
 
 class Operand:
@@ -177,12 +195,12 @@ class Operand:
         return SubNode(as_node(other), as_node(self))
 
     def __mul__(self, other):
-        if isinstance(other, numbers.Real):
+        if _is_real(other):
             return ScaleNode(other, as_node(self))
         return MulNode(as_node(self), as_node(other))
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
+        if _is_real(other):
             return ScaleNode(other, as_node(self))
         return MulNode(as_node(other), as_node(self))
 
@@ -214,10 +232,7 @@ class VectorOperand(Operand):
 
     def assign(self, expression, **plan_kwargs) -> None:
         """Evaluate a lazy expression into this vector in one fused pass."""
-        # engine imports this module, so its import waits for the call
-        from .engine import execute_assign
-
-        execute_assign(AssignNode(Leaf(self), expression), **plan_kwargs)
+        engine.execute_assign(AssignNode(Leaf(self), expression), **plan_kwargs)
 
 
 class Expression(Operand):
@@ -229,7 +244,7 @@ class Expression(Operand):
 class Leaf(Expression):
     """Direct view of a vector container."""
 
-    __slots__ = ("vector", "dtype")
+    __slots__ = ("vector", "dtype", "length")
 
     register_footprint = 1
     registers = 0
@@ -237,6 +252,7 @@ class Leaf(Expression):
     def __init__(self, vector):
         self.vector = vector
         self.dtype = vector.dtype
+        self.length = len(vector)
 
     def leaves(self):
         yield self
@@ -266,7 +282,7 @@ class Leaf(Expression):
 class _BinaryNode(Expression):
     """Elementwise combination of two subtrees of equal dtype."""
 
-    __slots__ = ("left", "right", "dtype", "register_footprint", "registers")
+    __slots__ = ("left", "right", "dtype", "length", "register_footprint", "registers")
 
     _combine = None  # staticmethod set by subclasses
     _ufunc = None  # the same operation on arrays, with out=
@@ -279,9 +295,14 @@ class _BinaryNode(Expression):
             raise TypeError(
                 f"mixed element types in expression: {left.dtype} vs {right.dtype}"
             )
+        if left.length != right.length:
+            raise LengthMismatchError(
+                f"expression mixes vectors of length {left.length} and {right.length}"
+            )
         self.left = left
         self.right = right
         self.dtype = left.dtype
+        self.length = left.length
         self.register_footprint = left.register_footprint + right.register_footprint
         # the left result waits in out while the right one fills a register
         regs = left.registers
@@ -363,11 +384,12 @@ class _UnaryNode:
     down, and a root hands the child its own out. The base of ScaleNode
     and of the roots, which are not operands."""
 
-    __slots__ = ("child", "dtype", "register_footprint", "registers")
+    __slots__ = ("child", "dtype", "length", "register_footprint", "registers")
 
     def __init__(self, child: Expression):
         self.child = child
         self.dtype = child.dtype
+        self.length = child.length
         self.register_footprint = 1 + child.register_footprint
         self.registers = child.registers
 
@@ -477,6 +499,10 @@ class AssignNode(_Root):
             raise TypeError(
                 f"mixed element types in assignment: {dest.dtype} vs {self.dtype}"
             )
+        if dest.length != self.length:
+            raise LengthMismatchError(
+                f"expression mixes vectors of length {dest.length} and {self.length}"
+            )
         self.dest = dest
         # With the destination as out, the first binary node below any
         # scale nodes keeps a non-leaf left result in a register of its own.
@@ -568,17 +594,11 @@ def combine_partials(rows, remainder):
 
 
 def common_length(root) -> int:
-    """Common element count of every leaf, checked before any element is
-    touched."""
-    length = None
-    for leaf in root.leaves():
-        n = len(leaf.vector)
-        if length is None:
-            length = n
-        elif n != length:
-            raise LengthMismatchError(
-                f"expression mixes vectors of length {length} and {n}"
-            )
-    if length is None:
-        raise TypeError("expression has no vector leaves")
-    return length
+    """Common element count of every leaf of a node. Nodes check it when
+    they are built, before any element is touched, so this reads it."""
+    return root.length
+
+
+# engine imports this module, so it is bound last; assign looks it up when
+# called. An import inside assign would cost about 1 us per call.
+from . import engine  # noqa: E402

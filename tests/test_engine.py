@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lanevec import engine
 from lanevec.engine import (
     DEFAULT_REGISTER_BUDGET,
     PlanError,
@@ -18,7 +19,7 @@ from lanevec.engine import (
     select_plan,
 )
 from lanevec.expressions import AssignNode, ScaleNode, SumNode, as_node
-from lanevec.lanes import as_dtype, scalar_backend, wide_backend
+from lanevec.lanes import as_dtype, default_backend, scalar_backend, wide_backend
 from lanevec.ops import axpy, dot, scal, scaled_copy
 from lanevec.ops import sum as vec_sum
 from lanevec.oracle import oracle_axpy, oracle_dot
@@ -156,6 +157,80 @@ def test_root_type_guards():
         execute_assign(make_dot(x, y))
     with pytest.raises(TypeError):
         execute_reduce(make_axpy(1.0, x, y))
+
+
+def _unread(*args, **kwargs):
+    raise AssertionError("built a plan or backend that the block executor does not read")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_default_block_assignments_build_no_plan_or_backend(dtype, monkeypatch):
+    n = 70001  # several strips of every tree below, and a tail
+    rng = np.random.default_rng(41)
+    x, y, z, w, d = (DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for _ in range(5))
+    xa, ya, za, wa = (v.to_array() for v in (x, y, z, w))
+    a = 0.75
+    af = as_dtype(dtype).type(a)
+    for name in ("select_plan", "UnrollPlan", "default_backend"):
+        monkeypatch.setattr(engine, name, _unread)
+    scaled_copy(a, x, d)
+    assert d.to_array().tobytes() == (af * xa).tobytes()
+    scal(a, d)
+    assert d.to_array().tobytes() == (af * (af * xa)).tobytes()
+    axpy(a, x, y)
+    assert y.to_array().tobytes() == (ya + af * xa).tobytes()
+    d.assign((x + y) * (z - a * w))
+    want = (xa + (ya + af * xa)) * (za - af * wa)
+    assert d.to_array().tobytes() == want.tobytes()
+
+
+def _quad(x, y, z, w):
+    return (x + y) * (z - w)
+
+
+# reductions whose default plans unroll by 8, 4, 2 and 1
+DEFAULT_UNROLL_TREES = {
+    8: lambda x, y, z, w: x,
+    4: lambda x, y, z, w: x * y,
+    2: _quad,
+    1: lambda x, y, z, w: (_quad(x, y, z, w) + _quad(y, x, w, z))
+    * (_quad(x, z, y, w) - _quad(w, y, z, x)),
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("unroll", sorted(DEFAULT_UNROLL_TREES))
+def test_default_reduction_matches_its_selected_plan(dtype, unroll, monkeypatch):
+    rng = np.random.default_rng([unroll, 43])
+    for n in (0, 3, 1000, 70001):
+        vectors = [DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for _ in range(4)]
+        root = SumNode(as_node(DEFAULT_UNROLL_TREES[unroll](*vectors)))
+        plan = select_plan(root.register_footprint, n, default_backend(dtype).caps)
+        assert plan.unroll == unroll
+        want = execute_reduce(root, plan)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "select_plan", _unread)
+            m.setattr(engine, "UnrollPlan", _unread)
+            got = execute_reduce(root)
+        assert got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("kind", ["assign", "reduce"])
+def test_block_executor_overrides_are_still_checked(kind):
+    x, y = fresh_pair(20)
+    before = y.to_array()
+    run = {"assign": lambda **o: axpy(1.5, x, y, **o), "reduce": lambda **o: dot(x, y, **o)}[kind]
+    backend = default_backend("f32")
+    plan = select_plan(3, 20, backend.caps)
+    for options in (
+        {"unroll": 3},
+        {"plan": UnrollPlan(1, backend.width, 1, 32)},  # built for another length
+        {"backend": wide_backend("f64")},
+        {"plan": plan, "unroll": plan.unroll},
+    ):
+        with pytest.raises(PlanError):
+            run(**options)
+    assert y.to_array().tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------- values

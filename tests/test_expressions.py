@@ -1,3 +1,5 @@
+import fractions
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,30 @@ def test_scalar_plus_vector_is_rejected():
             _ = operand - 1.0
         with pytest.raises(TypeError):
             _ = 1.0 - operand
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [2, 2.5, True, np.float32(2.5), np.float64(2.5), fractions.Fraction(5, 2)],
+    ids=lambda s: type(s).__name__,
+)
+def test_any_real_scalar_scales_on_either_side(scalar):
+    x = vec(1, 2)
+    for node in (scalar * x, x * scalar, scalar * (x + x), (x + x) * scalar):
+        assert isinstance(node, ScaleNode)
+        assert node.alpha == np.float32(scalar)
+
+
+def test_operands_multiply_and_other_factors_raise_at_build():
+    x, y = vec(1, 2), vec(3, 4)
+    for left, right in ((x, y), (x, x + y), (x + y, y), (CountingVector(x), y)):
+        assert isinstance(left * right, MulNode)
+    with pytest.raises(TypeError):
+        _ = "a" * x
+    with pytest.raises(TypeError):
+        _ = x * "a"
+    with pytest.raises(TypeError, match="root"):
+        _ = x * SumNode(as_node(y))
 
 
 def test_mixed_element_types_rejected_at_construction():
@@ -137,6 +163,39 @@ def test_common_length_agreement_and_mismatch():
     # destination length participates in the check
     with pytest.raises(LengthMismatchError):
         common_length(AssignNode(as_node(short), as_node(a) + as_node(b)))
+
+
+def test_length_mismatch_raises_when_the_tree_is_built():
+    x, y = CountingVector.from_values(range(5)), CountingVector.from_values(range(5))
+    short = CountingVector.from_values(range(4))
+    builds = {
+        "x + short": lambda: x + short,
+        "short * x": lambda: short * x,
+        "2.0 * x + short": lambda: 2.0 * x + short,
+        "AssignNode(Leaf(short), x + y)": lambda: AssignNode(Leaf(short), x + y),
+        "SumNode(x * short)": lambda: SumNode(x * short),
+    }
+    for name, build in builds.items():
+        with pytest.raises(LengthMismatchError):
+            build()
+        for v in (x, y, short):
+            assert (v.read_count, v.write_count) == (0, 0), name
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_every_node_kind_carries_its_length(n):
+    x, y, d = vec(*range(n)), vec(*range(n)), vec(*range(n))
+    nodes = [
+        as_node(x),
+        x + y,
+        x - y,
+        x * y,
+        2.0 * x,
+        AssignNode(Leaf(d), x + y),
+        SumNode(x * y),
+    ]
+    for node in nodes:
+        assert node.length == len(x) == common_length(node), repr(node)
 
 
 def test_building_expressions_reads_nothing():
