@@ -12,10 +12,11 @@ Evaluation of one expression follows a fixed shape:
     reduction                     reduction roots only
 
 Every call goes to the root, an AssignNode or a SumNode, which reaches
-its operand tree through the per-slot calls. Roots are not operands, so
-a tree has exactly one. The root's temporary, from make_temporary, is
-the evaluation's only loop-wide state; it is not composed down the tree,
-and only init, single_op and reduction take it.
+its operand tree through the per-slot calls, each given the Slot of its
+unroll slot. Roots are not operands, so a tree has exactly one. The
+root's temporary, one more Slot, is the evaluation's only loop-wide
+state; it is not passed down the tree, and only init, single_op and
+reduction take it.
 
 Two interchangeable executors implement that shape. The stepped executor
 drives the node contract call by call and is what `call_trace` records;
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AssignNode, Leaf, Scratch, combine_partials
+from .expressions import AssignNode, Leaf, Scratch, Slot, SumNode, combine_partials
 from .lanes import (
     CONTAINER_ALIGNMENT,
     LaneBackend,
@@ -260,37 +261,40 @@ def _run_stepped(root, backend, plan, reduce_root, trace=None):
     width = plan.width
     span = plan.slots_per_package
     n = plan.masked_length
+    load, vector_op, store = root.load, root.vector_op, root.store
     rec = trace.append if trace is not None else None
 
-    ts = root.make_temporary(backend)
-    slots = [root.make_storage(backend) for _ in range(plan.unroll)]
+    ts = Slot(backend)
+    slots = [Slot(backend) for _ in range(plan.unroll)]
+    # each package's (lane offset in the iteration, slot number, slot),
+    # built once so that the main loop does no index arithmetic
+    packages = [
+        [(k * width, k, slots[k]) for k in range(first, first + span)]
+        for first in range(0, plan.unroll, span)
+    ]
 
     if rec:
         rec(TraceEvent("init", None, None))
     root.init(ts)
-    for s, storage in enumerate(slots):
+    for k, slot in enumerate(slots):
         if rec:
-            rec(TraceEvent("load_once", None, s))
-        root.load_once(storage)
+            rec(TraceEvent("load_once", None, k))
+        root.load_once(slot)
 
-    i = 0
-    while i < n:
-        for p in range(plan.packages):
-            first = p * span
-            base = i + first * width
-            for k in range(span):
+    for i in range(0, n, plan.block):
+        for package in packages:
+            for offset, k, slot in package:
                 if rec:
-                    rec(TraceEvent("load", base + k * width, first + k))
-                root.load(base + k * width, slots[first + k])
-            for k in range(span):
+                    rec(TraceEvent("load", i + offset, k))
+                load(i + offset, slot)
+            for offset, k, slot in package:
                 if rec:
-                    rec(TraceEvent("vector_op", base + k * width, first + k))
-                root.vector_op(base + k * width, slots[first + k])
-            for k in range(span):
+                    rec(TraceEvent("vector_op", i + offset, k))
+                vector_op(i + offset, slot)
+            for offset, k, slot in package:
                 if rec:
-                    rec(TraceEvent("store", base + k * width, first + k))
-                root.store(base + k * width, slots[first + k])
-        i += plan.block
+                    rec(TraceEvent("store", i + offset, k))
+                store(i + offset, slot)
 
     for j in range(n, length):
         if rec:
@@ -429,7 +433,7 @@ def execute_reduce(
     stepped: bool = False,
 ):
     """Evaluate a reduction tree and return its scalar value."""
-    if not hasattr(root, "reduction"):
+    if not isinstance(root, SumNode):
         raise TypeError("execute_reduce requires a reduction root")
     if stepped or _overridden(plan, backend, unroll, packages):
         backend, plan = _resolve(root, plan, backend, unroll, packages)
@@ -458,7 +462,9 @@ def call_trace(
     reduction roots, reduction. index is the element index of lane calls,
     slot the unroll slot, None where not applicable.
     """
+    if not isinstance(root, (AssignNode, SumNode)):
+        raise TypeError("call_trace requires an assignment or reduction root")
     backend, plan = _resolve(root, plan, backend, unroll, packages)
     trace = []
-    _run_stepped(root, backend, plan, reduce_root=hasattr(root, "reduction"), trace=trace)
+    _run_stepped(root, backend, plan, reduce_root=isinstance(root, SumNode), trace=trace)
     return trace

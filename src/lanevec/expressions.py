@@ -23,11 +23,12 @@ stepped executor drives:
     vector_op(i, s)       combine loaded lanes
     single_op(i)          scalar path for the remainder elements
 
-The root drives the loop and alone keeps loop-wide state: its temporary
-`ts` from make_temporary, None for an assignment and the remainder Cell
-for a reduction. init, store, cleanup and reduction exist only on roots,
-a root's vector_op and single_op commit instead of returning, and only
-the root calls that read ts take it:
+`s` is the Slot of one unroll slot. The root drives the loop and alone
+keeps loop-wide state, in the evaluation's temporary `ts`, one more Slot
+(empty for an assignment, the remainder for a reduction). init, store,
+cleanup and reduction exist only on roots, a root's vector_op and
+single_op commit instead of returning, and only the root calls that read
+ts take it:
 
     init(ts)              once per evaluation, before anything else
     vector_op(i, s)       keep the result lanes (assignment) or fold
@@ -63,13 +64,13 @@ registers it takes with a private out (`registers`) when it is built, as
 it does its lane register footprint; an assignment root counts them with
 the destination as out.
 
-Per-slot state lives in storage objects, composed structurally: a binary
-node's storage is exactly the pair of its children's storages, and a
-unary node's (a ScaleNode or a root) is the pair (its own lane register,
-its child's storage). Loop-wide state is not composed, since only the
-root keeps any. Storage, temporary and the block executor's Scratch are
-built fresh per evaluation, so one expression value can be evaluated
-concurrently from several threads.
+Every node that holds a lane register keeps it in the Slot under itself:
+a leaf its loaded lanes, a ScaleNode its splat alpha, the root its result
+or accumulator. A binary node holds none and passes the Slot to both
+children, so a slot holds at most register_footprint registers, and a
+node object used twice in one tree holds one. The Slots and the block
+executor's Scratch are built fresh per evaluation, so one expression
+value can be evaluated concurrently from several threads.
 """
 
 import math
@@ -83,6 +84,7 @@ from .lanes import LaneVector
 __all__ = [
     "Expression",
     "Scratch",
+    "Slot",
     "Leaf",
     "AddNode",
     "SubNode",
@@ -104,23 +106,16 @@ class LengthMismatchError(ValueError):
     """Leaves of one expression tree disagree on length."""
 
 
-class Cell:
-    """Mutable holder for one loop-wide scalar: a reduction's remainder."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = None
-
-
-class SlotCell(Cell):
-    """Mutable holder for one lane register inside a slot's storage."""
+class Slot(dict):
+    """Registers of one unroll slot of a stepped evaluation, or its
+    loop-wide temporary: each node that holds a value keeps it under
+    itself. Keys are nodes by identity, so nodes must not define __eq__
+    or __hash__. `backend` makes the slot's lane registers."""
 
     __slots__ = ("backend",)
 
     def __init__(self, backend):
         self.backend = backend
-        self.value = None
 
 
 class Scratch(list):
@@ -257,17 +252,14 @@ class Leaf(Expression):
     def leaves(self):
         yield self
 
-    def make_storage(self, backend):
-        return SlotCell(backend)
-
     def load_once(self, s):
         pass
 
     def load(self, i, s):
-        s.value = LaneVector(self.vector.read_block(i, i + s.backend.width))
+        s[self] = LaneVector(self.vector.read_block(i, i + s.backend.width))
 
     def vector_op(self, i, s):
-        return s.value
+        return s[self]
 
     def single_op(self, i):
         return self.vector.read_element(i)
@@ -314,19 +306,16 @@ class _BinaryNode(Expression):
         yield from self.left.leaves()
         yield from self.right.leaves()
 
-    def make_storage(self, backend):
-        return (self.left.make_storage(backend), self.right.make_storage(backend))
-
     def load_once(self, s):
-        self.left.load_once(s[0])
-        self.right.load_once(s[1])
+        self.left.load_once(s)
+        self.right.load_once(s)
 
     def load(self, i, s):
-        self.left.load(i, s[0])
-        self.right.load(i, s[1])
+        self.left.load(i, s)
+        self.right.load(i, s)
 
     def vector_op(self, i, s):
-        return self._combine(self.left.vector_op(i, s[0]), self.right.vector_op(i, s[1]))
+        return self._combine(self.left.vector_op(i, s), self.right.vector_op(i, s))
 
     def single_op(self, i):
         return self._combine(self.left.single_op(i), self.right.single_op(i))
@@ -378,11 +367,11 @@ class MulNode(_BinaryNode):
 
 
 class _UnaryNode:
-    """One subtree plus a lane register of its own: storage is (own,
-    child's), and load_once and load pass through to the child's half.
-    It takes its child's scratch registers: a ScaleNode passes its out
-    down, and a root hands the child its own out. The base of ScaleNode
-    and of the roots, which are not operands."""
+    """One subtree plus a lane register of its own, kept in the Slot under
+    the node; load_once and load pass through to the child. It takes its
+    child's scratch registers: a ScaleNode passes its out down, and a root
+    hands the child its own out. The base of ScaleNode and of the roots,
+    which are not operands."""
 
     __slots__ = ("child", "dtype", "length", "register_footprint", "registers")
 
@@ -396,14 +385,11 @@ class _UnaryNode:
     def leaves(self):
         return self.child.leaves()
 
-    def make_storage(self, backend):
-        return (SlotCell(backend), self.child.make_storage(backend))
-
     def load_once(self, s):
-        self.child.load_once(s[1])
+        self.child.load_once(s)
 
     def load(self, i, s):
-        self.child.load(i, s[1])
+        self.child.load(i, s)
 
 
 class ScaleNode(_UnaryNode, Expression):
@@ -431,11 +417,11 @@ class ScaleNode(_UnaryNode, Expression):
             self.alpha = self.dtype.type(alpha)
 
     def load_once(self, s):
-        s[0].value = s[0].backend.splat(self.alpha)
-        super().load_once(s)
+        s[self] = s.backend.splat(self.alpha)
+        self.child.load_once(s)
 
     def vector_op(self, i, s):
-        return s[0].value * self.child.vector_op(i, s[1])
+        return s[self] * self.child.vector_op(i, s)
 
     def single_op(self, i):
         return self.alpha * self.child.single_op(i)
@@ -455,16 +441,13 @@ class _Root(_UnaryNode):
     """Evaluation root over one operand expression; a vector child is
     wrapped in a Leaf. A root is not an operand: it has no operators, and
     as_node, so also this constructor, rejects one with TypeError. Only
-    roots have the loop-wide contract calls; these defaults keep no
-    temporary and do nothing."""
+    roots have the loop-wide contract calls; these defaults keep nothing
+    in the temporary and do nothing."""
 
     __slots__ = ()
 
     def __init__(self, child):
         super().__init__(as_node(child))
-
-    def make_temporary(self, backend):
-        return None
 
     def init(self, ts):
         pass
@@ -519,10 +502,10 @@ class AssignNode(_Root):
         yield from self.child.leaves()
 
     def vector_op(self, i, s):
-        s[0].value = self.child.vector_op(i, s[1])
+        s[self] = self.child.vector_op(i, s)
 
     def store(self, i, s):
-        lanes = s[0].value.lanes
+        lanes = s[self].lanes
         self.dest.vector.write_block(i, i + lanes.shape[0], lanes)
 
     def single_op(self, i, ts):
@@ -542,7 +525,7 @@ class SumNode(_Root):
     """Reduction root: sums the operand expression over all indices.
 
     Each unroll slot keeps a lane accumulator; remainder elements add, in
-    index order, into a scalar accumulator, the temporary Cell, that
+    index order, into a scalar accumulator, kept in the temporary, that
     starts at +0. `reduction` folds slot accumulators in ascending slot
     order, lanes left to right within each, then adds the remainder last,
     so a result is reproducible for a fixed plan. Every lane starts at +0
@@ -558,24 +541,21 @@ class SumNode(_Root):
 
     __slots__ = ()
 
-    def make_temporary(self, backend):
-        return Cell()
-
     def init(self, ts):
-        ts.value = self.dtype.type(0)
+        ts[self] = self.dtype.type(0)
 
     def load_once(self, s):
-        s[0].value = s[0].backend.splat(0)
-        super().load_once(s)
+        s[self] = s.backend.splat(0)
+        self.child.load_once(s)
 
     def vector_op(self, i, s):
-        s[0].value = s[0].value + self.child.vector_op(i, s[1])
+        s[self] = s[self] + self.child.vector_op(i, s)
 
     def single_op(self, i, ts):
-        ts.value = ts.value + self.child.single_op(i)
+        ts[self] = ts[self] + self.child.single_op(i)
 
     def reduction(self, slots, ts):
-        return combine_partials([s[0].value.lanes for s in slots], ts.value)
+        return combine_partials([s[self].lanes for s in slots], ts[self])
 
     def __repr__(self):
         return f"Sum({self.child!r})"

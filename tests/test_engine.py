@@ -157,6 +157,10 @@ def test_root_type_guards():
         execute_assign(make_dot(x, y))
     with pytest.raises(TypeError):
         execute_reduce(make_axpy(1.0, x, y))
+    # an operand is not a root
+    for operand in (x + y, as_node(x)):
+        with pytest.raises(TypeError):
+            call_trace(operand)
 
 
 def _unread(*args, **kwargs):
@@ -406,6 +410,31 @@ def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
                 r_step = execute_reduce(make(x, y), stepped=True, **opts)
                 assert r_block.tobytes() == r_step.tobytes()
                 assert type(r_block) is type(r_step)
+
+            # A node object used twice in one tree evaluates as its
+            # unshared twin does, call for call.
+            def pair():
+                return as_node(x) + as_node(y)
+
+            e = pair()
+            sums = (SumNode(e * e), SumNode(pair() * pair()))
+            sources = (e * e - 2.0 * e, pair() * pair() - 2.0 * pair())
+            want = execute_reduce(sums[1], **opts)
+            for root in sums:
+                for stepped in (False, True):
+                    got = execute_reduce(root, stepped=stepped, **opts)
+                    assert got.tobytes() == want.tobytes()
+            assert call_trace(sums[0], **opts) == call_trace(sums[1], **opts)
+            d_want = DenseVector.zeros(n, dtype)
+            d_want.assign(sources[1], **opts)
+            traces = []
+            for source in sources:
+                for stepped in (False, True):
+                    d = DenseVector.zeros(n, dtype)
+                    d.assign(source, stepped=stepped, **opts)
+                    assert d.to_array().tobytes() == d_want.to_array().tobytes()
+                traces.append(call_trace(AssignNode(as_node(d), source), **opts))
+            assert traces[0] == traces[1]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -240,30 +240,62 @@ def test_combine_partials_small_case():
     assert combine_partials(rows, np.float32(3)) == 15
 
 
-def test_storage_composes_pairwise_from_children():
-    from lanevec.expressions import Cell, SlotCell
+def _register_holders(node):
+    """The nodes under an operand that hold a lane register in a Slot."""
+    if isinstance(node, Leaf):
+        return [node]
+    if isinstance(node, ScaleNode):
+        return [node, *_register_holders(node.child)]
+    return _register_holders(node.left) + _register_holders(node.right)
+
+
+def test_slot_holds_each_register_under_its_node():
+    from lanevec.expressions import Slot
     from lanevec.lanes import wide_backend
 
     be = wide_backend("f32", 4)
-    a, b, c = vec(1), vec(2), vec(3)
-    tree = as_node(a) + (as_node(b) - as_node(c))
-    storage = tree.make_storage(be)
-    # a binary node's storage is exactly the pair of its children's
-    assert isinstance(storage, tuple) and len(storage) == 2
-    left, right = storage
-    assert isinstance(left, SlotCell)
-    assert isinstance(right, tuple) and len(right) == 2
-    assert all(isinstance(s, SlotCell) for s in right)
+    x, y, z, w, d = (vec(*range(k, k + 8)) for k in range(5))
+    a, b = 0.5, -1.5
+    roots = {
+        "axpy": (AssignNode(as_node(y), as_node(y) + ScaleNode(a, as_node(x))), 4),
+        "dot": (SumNode(as_node(x) * as_node(y)), 3),
+        "sum": (SumNode(as_node(x)), 2),
+        "t3": (AssignNode(as_node(d), (x + y) * (z - a * w)), 6),
+        "spill": (
+            AssignNode(
+                as_node(d),
+                ((x + y) * (z - w) + (x * z - y * w)) * ((y + z) * (w - x) - (a * x + b * w)),
+            ),
+            17,
+        ),
+    }
 
-    scaled = 2.0 * as_node(a)
-    s = scaled.make_storage(be)
-    assert isinstance(s[0], SlotCell)  # holds the broadcast scalar
+    def filled_slot(root):
+        s = Slot(be)
+        root.load_once(s)
+        root.load(0, s)
+        root.vector_op(0, s)
+        return s
 
-    reduction = SumNode(as_node(a) * as_node(b))
-    s = reduction.make_storage(be)
-    assert isinstance(s[0], SlotCell)  # the slot accumulator
-    ts = reduction.make_temporary(be)
-    assert isinstance(ts, Cell)  # the scalar remainder accumulator
+    for name, (root, footprint) in roots.items():
+        assert root.register_footprint == footprint, name
+        s = filled_slot(root)
+        # one register per unit of footprint, each under the node holding it
+        assert len(s) == footprint, name
+        assert set(s) == {root, *_register_holders(root.child)}, name
+
+        if isinstance(root, SumNode):
+            ts = Slot(be)
+            root.init(ts)
+            assert list(ts) == [root], name  # only the scalar remainder
+            assert ts[root] == 0
+
+    # a node object used twice in one tree holds one register
+    e = x + y
+    shared = SumNode(e * e)
+    s = filled_slot(shared)
+    assert shared.register_footprint == 5
+    assert len(s) == 3 and set(s) == {shared, e.left, e.right}
 
 
 def test_repr_smoke():

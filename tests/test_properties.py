@@ -5,10 +5,14 @@ its leaves from four vectors, repeats them freely and may read the
 destination. The block executor runs it at a length of two of the tree's
 own strips plus a tail, and both executors run it at a short length with
 a tail, on both backends and at every unroll (the stepped one with one
-package and with one per slot). An assignment must be bit identical to
-the same NumPy expression in the element type; a reduction must equal
-its terms (that NumPy expression) summed in the documented order.
+package and with one per slot). At the short length the tree is also
+built with each repeated subtree, leaves included, as one node object
+used at every occurrence. An assignment must be bit identical to the
+same NumPy expression in the element type; a reduction must equal its
+terms (that NumPy expression) summed in the documented order.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -48,20 +52,33 @@ def trees(levels):
     )
 
 
-def evaluate(tree, operands, scale):
-    """The tree over `operands` (vectors or arrays), in its own operand
-    order; `scale(alpha, value)` applies a scale node."""
+def evaluate(tree, operands, scale, memo=None):
+    """The tree over `operands` (vectors, arrays or nodes), in its own
+    operand order; `scale(alpha, value)` applies a scale node. Given a
+    dict `memo`, a repeated subtree is evaluated once and its value reused."""
     if isinstance(tree, str):
         return operands[tree]
+    if memo is not None and tree in memo:
+        return memo[tree]
     if tree[0] == "scale":
-        return scale(tree[1], evaluate(tree[2], operands, scale))
-    a = evaluate(tree[1], operands, scale)
-    b = evaluate(tree[2], operands, scale)
-    return a + b if tree[0] == "+" else a - b if tree[0] == "-" else a * b
+        value = scale(tree[1], evaluate(tree[2], operands, scale, memo))
+    else:
+        a = evaluate(tree[1], operands, scale, memo)
+        b = evaluate(tree[2], operands, scale, memo)
+        value = a + b if tree[0] == "+" else a - b if tree[0] == "-" else a * b
+    if memo is not None:
+        memo[tree] = value
+    return value
 
 
 def build(tree, vectors):
     return as_node(evaluate(tree, vectors, lambda alpha, v: alpha * v))
+
+
+def build_shared(tree, vectors):
+    """The tree with one node object per distinct subtree and per vector."""
+    leaves = {k: as_node(v) for k, v in vectors.items()}
+    return as_node(evaluate(tree, leaves, lambda alpha, v: alpha * v, memo={}))
 
 
 def numpy_value(tree, arrays, dtype):
@@ -105,21 +122,22 @@ def check_tree(tree, dtype, n, rng, stepped_too):
     arrays = {k: v.astype(dtype) for k, v in values.items()}
     expected = numpy_value(tree, arrays, dtype)
     runs = [(False, 1)]
+    builders = (build, build_shared) if stepped_too else (build,)
     for backend_of in BACKENDS:
         backend = backend_of(dtype)
         for unroll in UNROLLS:
             if stepped_too:
                 # packages shape only the stepped executor's bursts
                 runs = [(False, 1)] + [(True, p) for p in sorted({1, unroll})]
-            for stepped, packages in runs:
+            for (stepped, packages), make in itertools.product(runs, builders):
                 opts = dict(backend=backend, unroll=unroll, packages=packages)
                 vectors = {k: DenseVector.from_values(a, dtype) for k, a in arrays.items()}
-                vectors["d"].assign(build(tree, vectors), stepped=stepped, **opts)
-                where = (tree, n, backend.width, unroll, packages, stepped)
+                vectors["d"].assign(make(tree, vectors), stepped=stepped, **opts)
+                where = (tree, n, backend.width, unroll, packages, stepped, make.__name__)
                 assert vectors["d"].to_array().tobytes() == expected.tobytes(), where
 
                 vectors = {k: DenseVector.from_values(a, dtype) for k, a in arrays.items()}
-                got = execute_reduce(SumNode(build(tree, vectors)), stepped=stepped, **opts)
+                got = execute_reduce(SumNode(make(tree, vectors)), stepped=stepped, **opts)
                 want = documented_sum(expected, unroll, backend.width)
                 assert got.tobytes() == want.tobytes(), where
 
