@@ -269,7 +269,7 @@ def main(argv=None) -> int:
         description="Sweep level-1 vector kernels over sizes and emit CSV.",
     )
     parser.add_argument("--op", default="all",
-                        help="dot|scal|axpy|scaled_copy|all (default all)")
+                        help=f"comma list from: {','.join(OPS)}, or 'all' (default)")
     parser.add_argument("--type", default="f32", choices=("f32", "f64"))
     parser.add_argument("--variants", default="engine,naive",
                         help=f"comma list from: {','.join(VARIANTS)}")
@@ -285,7 +285,9 @@ def main(argv=None) -> int:
                              "a .meta sidecar for plotting")
     args = parser.parse_args(argv)
 
-    ops = list(OPS) if args.op == "all" else [args.op]
+    ops = list(OPS) if args.op == "all" else [op for op in args.op.split(",") if op]
+    if not ops:
+        parser.error("--op expects a comma list of ops or 'all'")
     for op in ops:
         if op not in OPS:
             parser.error(f"unknown op {op!r}; choose from {', '.join(OPS)} or all")

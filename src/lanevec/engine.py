@@ -12,11 +12,12 @@ Evaluation of one expression follows a fixed shape:
     reduction                     reduction roots only
 
 Every call goes to the root, an AssignNode or a SumNode, which reaches
-its operand tree through the per-slot calls, each given the Slot of its
-unroll slot. Roots are not operands, so a tree has exactly one. The
-root's temporary, one more Slot, is the evaluation's only loop-wide
-state; it is not passed down the tree, and only init, single_op and
-reduction take it.
+its operand tree through the per-slot calls, each given the register
+dict of its unroll slot: load_once once with the backend, load and store
+with the slot's window of W elements. Roots are not operands, so a tree
+has exactly one. The root's temporary, one more dict, is the
+evaluation's only loop-wide state; it is not passed down the tree, and
+only init, single_op and reduction take it.
 
 Two interchangeable executors implement that shape. The stepped executor
 drives the node contract call by call and is what `call_trace` records;
@@ -67,14 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AssignNode, Leaf, Scratch, Slot, SumNode, combine_partials
-from .lanes import (
-    CONTAINER_ALIGNMENT,
-    LaneBackend,
-    default_backend,
-    scalar_backend,
-    wide_backend,
-)
+from .expressions import AssignNode, Leaf, Scratch, SumNode, combine_partials
+from .lanes import CONTAINER_ALIGNMENT, LaneBackend, default_backend
 
 __all__ = [
     "UnrollPlan",
@@ -128,6 +123,9 @@ class UnrollPlan:
     masked_length: int
 
     def __post_init__(self):
+        # a bool is an int, and True would pass as 1
+        if bool in (type(self.unroll), type(self.packages)):
+            raise PlanError("unroll and packages are counts, not bools")
         if self.unroll not in UNROLL_FACTORS:
             raise PlanError(f"unsupported unroll factor {self.unroll}")
         if not _is_pow2(self.width):
@@ -170,9 +168,9 @@ def select_plan(
     Default: the largest unroll factor in {1, 2, 4, 8} whose total lane
     register demand (unroll * footprint) fits the budget of 16; an
     expression too wide even for unroll 1 still runs at 1 and spills.
-    A non-specialized backend runs unvectorized and not unrolled unless
-    an explicit unroll override asks otherwise. Packages default to one
-    burst group spanning the whole iteration.
+    A width-1 backend, the one that is not specialized, runs not unrolled
+    unless an explicit unroll override asks otherwise. Packages default to
+    one burst group spanning the whole iteration.
     """
     if footprint < 1:
         raise PlanError(f"register footprint must be >= 1, got {footprint}")
@@ -182,11 +180,6 @@ def select_plan(
     width = caps.width
     if unroll is None:
         unroll = _default_unroll(footprint, caps.specialized)
-    elif unroll not in UNROLL_FACTORS:
-        raise PlanError(
-            f"unroll override must be one of {UNROLL_FACTORS}, got {unroll}"
-        )
-
     if packages is None:
         packages = 1
 
@@ -214,12 +207,7 @@ def _resolve(root, plan, backend, unroll, packages):
     stepped, each checked against the tree and the other."""
     length = root.length
     if backend is None:
-        if plan is not None and plan.width == 1:
-            backend = scalar_backend(root.dtype)
-        elif plan is not None:
-            backend = wide_backend(root.dtype, plan.width)
-        else:
-            backend = default_backend(root.dtype)
+        backend = default_backend(root.dtype)
     elif not isinstance(backend, LaneBackend):
         raise TypeError(f"backend must be a LaneBackend, got {type(backend).__name__}")
     if backend.dtype != root.dtype:
@@ -236,6 +224,8 @@ def _resolve(root, plan, backend, unroll, packages):
             unroll=unroll,
             packages=packages,
         )
+    elif not isinstance(plan, UnrollPlan):
+        raise TypeError(f"plan must be an UnrollPlan, got {type(plan).__name__}")
     else:
         if unroll is not None or packages is not None:
             raise PlanError("pass either a prebuilt plan or overrides, not both")
@@ -264,12 +254,12 @@ def _run_stepped(root, backend, plan, reduce_root, trace=None):
     load, vector_op, store = root.load, root.vector_op, root.store
     rec = trace.append if trace is not None else None
 
-    ts = Slot(backend)
-    slots = [Slot(backend) for _ in range(plan.unroll)]
-    # each package's (lane offset in the iteration, slot number, slot),
-    # built once so that the main loop does no index arithmetic
+    ts = {}
+    slots = [{} for _ in range(plan.unroll)]
+    # each package's (window start and end in the iteration, slot number,
+    # slot), built once so that the main loop does little index arithmetic
     packages = [
-        [(k * width, k, slots[k]) for k in range(first, first + span)]
+        [(k * width, (k + 1) * width, k, slots[k]) for k in range(first, first + span)]
         for first in range(0, plan.unroll, span)
     ]
 
@@ -279,22 +269,22 @@ def _run_stepped(root, backend, plan, reduce_root, trace=None):
     for k, slot in enumerate(slots):
         if rec:
             rec(TraceEvent("load_once", None, k))
-        root.load_once(slot)
+        root.load_once(slot, backend)
 
     for i in range(0, n, plan.block):
         for package in packages:
-            for offset, k, slot in package:
+            for lo, hi, k, slot in package:
                 if rec:
-                    rec(TraceEvent("load", i + offset, k))
-                load(i + offset, slot)
-            for offset, k, slot in package:
+                    rec(TraceEvent("load", i + lo, k))
+                load(i + lo, i + hi, slot)
+            for lo, hi, k, slot in package:
                 if rec:
-                    rec(TraceEvent("vector_op", i + offset, k))
-                vector_op(i + offset, slot)
-            for offset, k, slot in package:
+                    rec(TraceEvent("vector_op", i + lo, k))
+                vector_op(slot)
+            for lo, hi, k, slot in package:
                 if rec:
-                    rec(TraceEvent("store", i + offset, k))
-                store(i + offset, slot)
+                    rec(TraceEvent("store", i + lo, k))
+                store(i + lo, i + hi, slot)
 
     for j in range(n, length):
         if rec:

@@ -18,22 +18,24 @@ element is read or written, and an evaluation reads root.length instead
 of walking the leaves. Every node implements the per-slot contract the
 stepped executor drives:
 
-    load_once(s)          once per unroll slot, before the main loop
-    load(i, s)            pull lanes i..i+W-1 of every reachable leaf
-    vector_op(i, s)       combine loaded lanes
+    load_once(s, backend) once per unroll slot, before the main loop
+    load(lo, hi, s)       pull lanes lo..hi-1 of every reachable leaf
+    vector_op(s)          combine loaded lanes
     single_op(i)          scalar path for the remainder elements
 
-`s` is the Slot of one unroll slot. The root drives the loop and alone
-keeps loop-wide state, in the evaluation's temporary `ts`, one more Slot
-(empty for an assignment, the remainder for a reduction). init, store,
-cleanup and reduction exist only on roots, a root's vector_op and
-single_op commit instead of returning, and only the root calls that read
-ts take it:
+`s` is the register dict of one unroll slot, and `backend` the lane
+backend that makes its splats; lo..hi is the slot's window of W
+elements, as in block_op. The root drives the loop and alone keeps
+loop-wide state, in the evaluation's temporary `ts`, one more dict (empty
+for an assignment, the remainder for a reduction). init, store, cleanup
+and reduction exist only on roots, a root's vector_op and single_op
+commit instead of returning, and only the root calls that read ts take
+it:
 
     init(ts)              once per evaluation, before anything else
-    vector_op(i, s)       keep the result lanes (assignment) or fold
+    vector_op(s)          keep the result lanes (assignment) or fold
                           them into the slot accumulator (reduction)
-    store(i, s)           assignments write result lanes; a no-op in a
+    store(lo, hi, s)      assignments write result lanes; a no-op in a
                           reduction
     single_op(i, ts)      write (assignment) or add (reduction) one
                           remainder element
@@ -64,11 +66,12 @@ registers it takes with a private out (`registers`) when it is built, as
 it does its lane register footprint; an assignment root counts them with
 the destination as out.
 
-Every node that holds a lane register keeps it in the Slot under itself:
-a leaf its loaded lanes, a ScaleNode its splat alpha, the root its result
-or accumulator. A binary node holds none and passes the Slot to both
+Every node that holds a lane register keeps it in the slot's dict under
+itself, by identity, so nodes must not define __eq__ or __hash__: a leaf
+its loaded lanes, a ScaleNode its splat alpha, the root its result or
+accumulator. A binary node holds none and passes the dict to both
 children, so a slot holds at most register_footprint registers, and a
-node object used twice in one tree holds one. The Slots and the block
+node object used twice in one tree holds one. The dicts and the block
 executor's Scratch are built fresh per evaluation, so one expression
 value can be evaluated concurrently from several threads.
 """
@@ -84,7 +87,6 @@ from .lanes import LaneVector
 __all__ = [
     "Expression",
     "Scratch",
-    "Slot",
     "Leaf",
     "AddNode",
     "SubNode",
@@ -104,18 +106,6 @@ _LARGEST_FINITE = {np.dtype(t): float(np.finfo(t).max) for t in (np.float32, np.
 
 class LengthMismatchError(ValueError):
     """Leaves of one expression tree disagree on length."""
-
-
-class Slot(dict):
-    """Registers of one unroll slot of a stepped evaluation, or its
-    loop-wide temporary: each node that holds a value keeps it under
-    itself. Keys are nodes by identity, so nodes must not define __eq__
-    or __hash__. `backend` makes the slot's lane registers."""
-
-    __slots__ = ("backend",)
-
-    def __init__(self, backend):
-        self.backend = backend
 
 
 class Scratch(list):
@@ -252,13 +242,13 @@ class Leaf(Expression):
     def leaves(self):
         yield self
 
-    def load_once(self, s):
+    def load_once(self, s, backend):
         pass
 
-    def load(self, i, s):
-        s[self] = LaneVector(self.vector.read_block(i, i + s.backend.width))
+    def load(self, lo, hi, s):
+        s[self] = LaneVector(self.vector.read_block(lo, hi))
 
-    def vector_op(self, i, s):
+    def vector_op(self, s):
         return s[self]
 
     def single_op(self, i):
@@ -306,16 +296,16 @@ class _BinaryNode(Expression):
         yield from self.left.leaves()
         yield from self.right.leaves()
 
-    def load_once(self, s):
-        self.left.load_once(s)
-        self.right.load_once(s)
+    def load_once(self, s, backend):
+        self.left.load_once(s, backend)
+        self.right.load_once(s, backend)
 
-    def load(self, i, s):
-        self.left.load(i, s)
-        self.right.load(i, s)
+    def load(self, lo, hi, s):
+        self.left.load(lo, hi, s)
+        self.right.load(lo, hi, s)
 
-    def vector_op(self, i, s):
-        return self._combine(self.left.vector_op(i, s), self.right.vector_op(i, s))
+    def vector_op(self, s):
+        return self._combine(self.left.vector_op(s), self.right.vector_op(s))
 
     def single_op(self, i):
         return self._combine(self.left.single_op(i), self.right.single_op(i))
@@ -367,8 +357,8 @@ class MulNode(_BinaryNode):
 
 
 class _UnaryNode:
-    """One subtree plus a lane register of its own, kept in the Slot under
-    the node; load_once and load pass through to the child. It takes its
+    """One subtree plus a lane register of its own, kept in the slot's dict
+    under the node; load_once and load pass through to the child. It takes its
     child's scratch registers: a ScaleNode passes its out down, and a root
     hands the child its own out. The base of ScaleNode and of the roots,
     which are not operands."""
@@ -385,11 +375,11 @@ class _UnaryNode:
     def leaves(self):
         return self.child.leaves()
 
-    def load_once(self, s):
-        self.child.load_once(s)
+    def load_once(self, s, backend):
+        self.child.load_once(s, backend)
 
-    def load(self, i, s):
-        self.child.load(i, s)
+    def load(self, lo, hi, s):
+        self.child.load(lo, hi, s)
 
 
 class ScaleNode(_UnaryNode, Expression):
@@ -416,12 +406,12 @@ class ScaleNode(_UnaryNode, Expression):
         else:
             self.alpha = self.dtype.type(alpha)
 
-    def load_once(self, s):
-        s[self] = s.backend.splat(self.alpha)
-        self.child.load_once(s)
+    def load_once(self, s, backend):
+        s[self] = backend.splat(self.alpha)
+        self.child.load_once(s, backend)
 
-    def vector_op(self, i, s):
-        return s[self] * self.child.vector_op(i, s)
+    def vector_op(self, s):
+        return s[self] * self.child.vector_op(s)
 
     def single_op(self, i):
         return self.alpha * self.child.single_op(i)
@@ -452,7 +442,7 @@ class _Root(_UnaryNode):
     def init(self, ts):
         pass
 
-    def store(self, i, s):
+    def store(self, lo, hi, s):
         pass
 
     def cleanup(self):
@@ -501,12 +491,11 @@ class AssignNode(_Root):
         yield self.dest
         yield from self.child.leaves()
 
-    def vector_op(self, i, s):
-        s[self] = self.child.vector_op(i, s)
+    def vector_op(self, s):
+        s[self] = self.child.vector_op(s)
 
-    def store(self, i, s):
-        lanes = s[self].lanes
-        self.dest.vector.write_block(i, i + lanes.shape[0], lanes)
+    def store(self, lo, hi, s):
+        self.dest.vector.write_block(lo, hi, s[self].lanes)
 
     def single_op(self, i, ts):
         self.dest.vector.write_element(i, self.child.single_op(i))
@@ -544,12 +533,12 @@ class SumNode(_Root):
     def init(self, ts):
         ts[self] = self.dtype.type(0)
 
-    def load_once(self, s):
-        s[self] = s.backend.splat(0)
-        self.child.load_once(s)
+    def load_once(self, s, backend):
+        s[self] = backend.splat(0)
+        self.child.load_once(s, backend)
 
-    def vector_op(self, i, s):
-        s[self] = s[self] + self.child.vector_op(i, s)
+    def vector_op(self, s):
+        s[self] = s[self] + self.child.vector_op(s)
 
     def single_op(self, i, ts):
         ts[self] = ts[self] + self.child.single_op(i)

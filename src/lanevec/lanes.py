@@ -98,14 +98,14 @@ class LaneVector:
 class LaneBackend:
     """Factory and memory bridge for lane vectors of one width and dtype.
 
-    `width == 1` with `specialized=False` is the portable fallback; wider
-    backends batch W elements per operation. Elementwise results are
+    Width 1 is the portable fallback; a wider backend is `specialized` and
+    batches W elements per operation. Elementwise results are
     bit-identical across widths, so the fallback is a drop-in stand-in.
     """
 
     __slots__ = ("dtype", "width", "specialized", "caps")
 
-    def __init__(self, dtype, width: int, specialized: bool):
+    def __init__(self, dtype, width: int):
         dtype = as_dtype(dtype)
         if width < 1 or width & (width - 1):
             raise ValueError(f"lane width must be a power of two, got {width}")
@@ -114,12 +114,10 @@ class LaneBackend:
                 f"width {width} exceeds the {CONTAINER_ALIGNMENT}-byte container "
                 f"alignment for {dtype}"
             )
-        if not specialized and width != 1:
-            raise ValueError("the fallback backend is fixed at width 1")
         self.dtype = dtype
         self.width = width
-        self.specialized = specialized
-        self.caps = LaneCapabilities(width, specialized)
+        self.specialized = width > 1
+        self.caps = LaneCapabilities(width, self.specialized)
 
     def splat(self, value) -> LaneVector:
         """Broadcast one scalar into every lane."""
@@ -160,7 +158,7 @@ def horizontal_sum(v: LaneVector):
 
 def scalar_backend(dtype) -> LaneBackend:
     """The always-available width-1 fallback."""
-    return LaneBackend(dtype, 1, specialized=False)
+    return LaneBackend(dtype, 1)
 
 
 def wide_backend(dtype, width: int | None = None) -> LaneBackend:
@@ -170,7 +168,7 @@ def wide_backend(dtype, width: int | None = None) -> LaneBackend:
         width = _DEFAULT_BLOCK_BYTES // dt.itemsize
     if width < 2:
         raise ValueError("wide backends start at width 2; use scalar_backend")
-    return LaneBackend(dt, width, specialized=True)
+    return LaneBackend(dt, width)
 
 
 @functools.cache

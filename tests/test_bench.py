@@ -133,6 +133,19 @@ def test_cli_writes_csv(tmp_path):
         assert math.isclose(r.gflops, flop_count(r.op, r.n) / r.best_s / 1e9,
                             rel_tol=1e-12)
 
+    # --op takes a comma list, as README documents
+    code = main(
+        [
+            "--op", "dot,scal", "--variants", "engine", "--sizes", "8,16",
+            "--reps", "1", "--warmup", "0", "--csv", str(path),
+        ]
+    )
+    assert code == 0
+    records = parse_csv(path.read_text())
+    assert [(r.op, r.n) for r in records] == [
+        ("dot", 8), ("dot", 16), ("scal", 8), ("scal", 16),
+    ]
+
 
 def test_cli_stdout_default(capsys):
     assert main(["--op", "scal", "--sizes", "8", "--reps", "1", "--warmup", "0",
@@ -146,6 +159,8 @@ def test_cli_stdout_default(capsys):
     "argv",
     [
         ["--op", "dog"],
+        ["--op", "dot,dog"],
+        ["--op", ","],
         ["--variants", "engine,turbo"],
         ["--sizes", "ten"],
         ["--sizes", "-4"],

@@ -237,6 +237,28 @@ def test_block_executor_overrides_are_still_checked(kind):
     assert y.to_array().tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("stepped", [False, True])
+@pytest.mark.parametrize("kind", ["assign", "reduce"])
+def test_bad_override_inputs_get_the_right_error(kind, stepped):
+    x, y = fresh_pair(20)
+    before = y.to_array()
+    run = {
+        "assign": lambda **o: axpy(1.5, x, y, stepped=stepped, **o),
+        "reduce": lambda **o: dot(x, y, stepped=stepped, **o),
+    }[kind]
+    for options in (
+        {"unroll": True},  # a bool is not an unroll factor, though True == 1
+        {"packages": True},
+        # without a backend the default one is used, whose width is 16
+        {"plan": UnrollPlan(1, 4, 1, 20)},
+    ):
+        with pytest.raises(PlanError):
+            run(**options)
+    with pytest.raises(TypeError):
+        run(plan=(1, 16, 1, 16))
+    assert y.to_array().tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------- values
 
 

@@ -241,7 +241,7 @@ def test_combine_partials_small_case():
 
 
 def _register_holders(node):
-    """The nodes under an operand that hold a lane register in a Slot."""
+    """The nodes under an operand that hold a lane register in a slot."""
     if isinstance(node, Leaf):
         return [node]
     if isinstance(node, ScaleNode):
@@ -250,7 +250,6 @@ def _register_holders(node):
 
 
 def test_slot_holds_each_register_under_its_node():
-    from lanevec.expressions import Slot
     from lanevec.lanes import wide_backend
 
     be = wide_backend("f32", 4)
@@ -271,10 +270,10 @@ def test_slot_holds_each_register_under_its_node():
     }
 
     def filled_slot(root):
-        s = Slot(be)
-        root.load_once(s)
-        root.load(0, s)
-        root.vector_op(0, s)
+        s = {}
+        root.load_once(s, be)
+        root.load(0, be.width, s)
+        root.vector_op(s)
         return s
 
     for name, (root, footprint) in roots.items():
@@ -285,7 +284,7 @@ def test_slot_holds_each_register_under_its_node():
         assert set(s) == {root, *_register_holders(root.child)}, name
 
         if isinstance(root, SumNode):
-            ts = Slot(be)
+            ts = {}
             root.init(ts)
             assert list(ts) == [root], name  # only the scalar remainder
             assert ts[root] == 0

@@ -154,15 +154,16 @@ def test_horizontal_sum_small_cases():
 
 def test_backend_validation():
     with pytest.raises(ValueError):
-        LaneBackend("f32", 3, specialized=True)
+        LaneBackend("f32", 3)
     with pytest.raises(ValueError):
-        LaneBackend("f32", 0, specialized=True)
+        LaneBackend("f32", 0)
     with pytest.raises(ValueError):
-        LaneBackend("f32", 32, specialized=True)  # 128 bytes > container alignment
-    with pytest.raises(ValueError):
-        LaneBackend("f32", 4, specialized=False)  # fallback is width 1
+        LaneBackend("f32", 32)  # 128 bytes > container alignment
     with pytest.raises(ValueError):
         wide_backend("f32", 1)
+    for dt in DTYPES:
+        for w in (1, 2, 4, 8):
+            assert LaneBackend(dt, w).specialized == (w > 1)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -1,15 +1,16 @@
 """Property tests: random expression trees against NumPy.
 
 Each tree has at most five operator levels over + - * and scaling, draws
-its leaves from four vectors, repeats them freely and may read the
-destination. The block executor runs it at a length of two of the tree's
-own strips plus a tail, and both executors run it at a short length with
-a tail, on both backends and at every unroll (the stepped one with one
-package and with one per slot). At the short length the tree is also
-built with each repeated subtree, leaves included, as one node object
-used at every occurrence. An assignment must be bit identical to the
-same NumPy expression in the element type; a reduction must equal its
-terms (that NumPy expression) summed in the documented order.
+its leaves from four vectors, repeats them freely, may apply an operator
+to one subtree twice and may read the destination. The block executor
+runs it at a length of two of the tree's own strips plus a tail, and both
+executors run it at a short length with a tail, on both backends and at
+every unroll (the stepped one with one package and with one per slot).
+At the short length the tree is also built with each repeated subtree,
+leaves included, as one node object used at every occurrence. An
+assignment must be bit identical to the same NumPy expression in the
+element type; a reduction must equal its terms (that NumPy expression)
+summed in the documented order.
 """
 
 import itertools
@@ -45,9 +46,13 @@ def trees(levels):
     if levels == 0:
         return leaf
     sub = trees(levels - 1)
+    # one operand drawn once and used twice, so that shared builds share
+    # inner nodes, not only leaves; drawn shallower to bound the tree size
+    twice = st.tuples(st.sampled_from("+-*"), trees(max(levels - 2, 0)))
     return st.one_of(
         leaf,
         st.tuples(st.sampled_from("+-*"), sub, sub),
+        twice.map(lambda pair: (pair[0], pair[1], pair[1])),
         st.tuples(st.just("scale"), st.sampled_from(ALPHAS), sub),
     )
 
