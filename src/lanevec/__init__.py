@@ -31,7 +31,6 @@ from .expressions import (
 from .lanes import (
     CONTAINER_ALIGNMENT,
     LaneBackend,
-    LaneCapabilities,
     LaneVector,
     default_backend,
     horizontal_sum,
@@ -66,7 +65,6 @@ __all__ = [
     "LengthMismatchError",
     "LaneVector",
     "LaneBackend",
-    "LaneCapabilities",
     "scalar_backend",
     "wide_backend",
     "default_backend",

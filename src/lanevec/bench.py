@@ -292,6 +292,8 @@ def main(argv=None) -> int:
         if op not in OPS:
             parser.error(f"unknown op {op!r}; choose from {', '.join(OPS)} or all")
     variants = [v for v in args.variants.split(",") if v]
+    if not variants:
+        parser.error("--variants expects a comma list of variants")
     for variant in variants:
         if variant not in VARIANTS:
             parser.error(

@@ -158,7 +158,7 @@ def masked_length(length: int, unroll: int, width: int) -> int:
 def select_plan(
     footprint: int,
     length: int,
-    caps,
+    backend: LaneBackend,
     *,
     unroll: int = None,
     packages: int = None,
@@ -168,18 +168,19 @@ def select_plan(
     Default: the largest unroll factor in {1, 2, 4, 8} whose total lane
     register demand (unroll * footprint) fits the budget of 16; an
     expression too wide even for unroll 1 still runs at 1 and spills.
-    A width-1 backend, the one that is not specialized, runs not unrolled
-    unless an explicit unroll override asks otherwise. Packages default to
-    one burst group spanning the whole iteration.
+    The lane width is the backend's; a width-1 backend, the one that is
+    not specialized, runs not unrolled unless an explicit unroll override
+    asks otherwise. Packages default to one burst group spanning the
+    whole iteration.
     """
     if footprint < 1:
         raise PlanError(f"register footprint must be >= 1, got {footprint}")
     if length < 0:
         raise PlanError(f"length must be >= 0, got {length}")
 
-    width = caps.width
+    width = backend.width
     if unroll is None:
-        unroll = _default_unroll(footprint, caps.specialized)
+        unroll = _default_unroll(footprint, backend.specialized)
     if packages is None:
         packages = 1
 
@@ -220,7 +221,7 @@ def _resolve(root, plan, backend, unroll, packages):
         plan = select_plan(
             root.register_footprint,
             length,
-            backend.caps,
+            backend,
             unroll=unroll,
             packages=packages,
         )
@@ -350,11 +351,11 @@ def _run_block_reduce(root, unroll, width):
     terms = child.block_op
     scratch = Scratch()
     scratch.dest = None
-    if type(child) is Leaf and block > 1:
+    if isinstance(child, Leaf) and block > 1:
         # Row r of the view holds main-loop iteration r, lane j of slot s
         # at column s*width + j; the fold adds each column in row order.
         # At U*W = 1 the view would collapse to 1-D, so it takes strips.
-        view = child.vector.read_block(0, n).reshape(-1, block)
+        view = child.read_block(0, n).reshape(-1, block)
         lanes = np.add.reduce(view, axis=0, initial=0)
     else:
         # Row 0 holds the slot-accumulator lanes; a strip's terms are

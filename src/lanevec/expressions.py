@@ -1,9 +1,11 @@
 """Lazy expression nodes built by operator overloading.
 
-Nodes and vector containers share one operator rule (Operand): a real
-scalar times an operand, on either side, scales it, and unary minus
-scales by -1; every other operand must pass as_node, so a scalar added
-to or subtracted from a vector raises TypeError.
+Every operand is an Expression, and a vector is one too: DenseVector
+and CountingVector are Leaf nodes, so a vector is the leaf of every tree
+it appears in and nothing is built to wrap it. Operands share one
+operator rule: a real scalar times an operand, on either side, scales
+it, and unary minus scales by -1; every other operand must pass as_node,
+so a scalar added to or subtracted from a vector raises TypeError.
 
 An evaluation has one root, an AssignNode or a SumNode, over an operand
 expression. Roots are not operands: they have no operators, and as_node
@@ -49,8 +51,8 @@ The block executor drives two calls instead, a strip at a time:
                           operands: write elements lo..hi-1 into the
                           array `out` with the ufunc's out= and return
                           it; given None, return the array the ufunc
-                          makes; a Leaf ignores `out` and returns its
-                          read-only view
+                          makes; a leaf ignores `out` and returns the
+                          view its read_block gives
     block_commit(lo, hi, scratch)
                           assignment roots: the source's block_op with
                           the destination's strip as `out`
@@ -67,13 +69,14 @@ it does its lane register footprint; an assignment root counts them with
 the destination as out.
 
 Every node that holds a lane register keeps it in the slot's dict under
-itself, by identity, so nodes must not define __eq__ or __hash__: a leaf
-its loaded lanes, a ScaleNode its splat alpha, the root its result or
-accumulator. A binary node holds none and passes the dict to both
-children, so a slot holds at most register_footprint registers, and a
-node object used twice in one tree holds one. The dicts and the block
-executor's Scratch are built fresh per evaluation, so one expression
-value can be evaluated concurrently from several threads.
+itself, by identity, so nodes, vectors included, must not define __eq__
+or __hash__: a leaf its loaded lanes, a ScaleNode its splat alpha, the
+root its result or accumulator. A binary node holds none and passes the
+dict to both children, so a slot holds at most register_footprint
+registers, and a node object used twice in one tree, such as a vector
+named twice, holds one. The dicts and the block executor's Scratch are
+built fresh per evaluation, so one expression value can be evaluated
+concurrently from several threads.
 """
 
 import math
@@ -125,18 +128,10 @@ class Scratch(list):
             self[:] = [reg[:n] for reg in self]
 
 
-def _is_vector(obj) -> bool:
-    return hasattr(obj, "read_block") and hasattr(obj, "dtype")
-
-
 def as_node(obj) -> "Expression":
-    """Wrap a vector container in a Leaf; pass expressions through."""
-    # Test for Expression, not Operand: a vector is an Operand that needs a Leaf.
+    """Pass an operand, a vector included, through; reject anything else."""
     if isinstance(obj, Expression):
         return obj
-    # the package's own containers pass without the duck-typed test
-    if isinstance(obj, VectorOperand) or _is_vector(obj):
-        return Leaf(obj)
     _reject_root(obj)
     raise TypeError(f"cannot use {type(obj).__name__} in a vector expression")
 
@@ -155,12 +150,12 @@ def _is_real(obj) -> bool:
     """isinstance(obj, numbers.Real), with the common cases tested first."""
     if type(obj) in _PLAIN_REALS:
         return True
-    return not isinstance(obj, Operand) and isinstance(obj, numbers.Real)
+    return not isinstance(obj, Expression) and isinstance(obj, numbers.Real)
 
 
-class Operand:
-    """Operator sugar shared by expression nodes and vector containers: a
-    real scalar scales, any other operand must pass as_node."""
+class Expression:
+    """Base class of operands, the nodes a root evaluates, vectors
+    included: a real scalar scales, any other operand must pass as_node."""
 
     __slots__ = ()
 
@@ -168,29 +163,29 @@ class Operand:
     __array_ufunc__ = None
 
     def __add__(self, other):
-        return AddNode(as_node(self), as_node(other))
+        return AddNode(self, as_node(other))
 
     def __radd__(self, other):
-        return AddNode(as_node(other), as_node(self))
+        return AddNode(as_node(other), self)
 
     def __sub__(self, other):
-        return SubNode(as_node(self), as_node(other))
+        return SubNode(self, as_node(other))
 
     def __rsub__(self, other):
-        return SubNode(as_node(other), as_node(self))
+        return SubNode(as_node(other), self)
 
     def __mul__(self, other):
         if _is_real(other):
-            return ScaleNode(other, as_node(self))
-        return MulNode(as_node(self), as_node(other))
+            return ScaleNode(other, self)
+        return MulNode(self, as_node(other))
 
     def __rmul__(self, other):
         if _is_real(other):
-            return ScaleNode(other, as_node(self))
-        return MulNode(as_node(other), as_node(self))
+            return ScaleNode(other, self)
+        return MulNode(as_node(other), self)
 
     def __neg__(self):
-        return ScaleNode(-1, as_node(self))
+        return ScaleNode(-1, self)
 
 
 def _no_in_place(symbol):
@@ -203,31 +198,21 @@ def _no_in_place(symbol):
     return in_place
 
 
-class VectorOperand(Operand):
-    """Operand sugar for vector containers, plus assignment into them. The
-    in-place operators raise TypeError: `x += y` would rebind x to an
-    unevaluated node and leave the vector as it was. Expressions keep
-    Python's fallback, which rebinds, since they are immutable."""
-
-    __slots__ = ()
-
-    __iadd__ = _no_in_place("+")
-    __isub__ = _no_in_place("-")
-    __imul__ = _no_in_place("*")
-
-    def assign(self, expression, **plan_kwargs) -> None:
-        """Evaluate a lazy expression into this vector in one fused pass."""
-        engine.execute_assign(AssignNode(Leaf(self), expression), **plan_kwargs)
-
-
-class Expression(Operand):
-    """Base class of operand nodes, the ones a root evaluates."""
-
-    __slots__ = ()
-
-
 class Leaf(Expression):
-    """Direct view of a vector container."""
+    """A vector as the leaf node of every tree it appears in.
+
+    DenseVector and CountingVector are Leaf subclasses: each implements
+    the five accessors below, sets `dtype` and `length`, and makes
+    `vector` a property that returns itself, not a stored self-reference,
+    which would make a cycle. `Leaf(v)` wraps any other container and
+    forwards the accessors to it; the wrapper and `vector` are kept for
+    the probes in perfbench/, which build `Leaf(out)` and read
+    `node.vector`. A vector is a key in slot dicts, so no subclass may
+    define __eq__ or __hash__. The in-place operators raise TypeError:
+    `x += y` would rebind x to an unevaluated node and leave the vector
+    as it was. Other expressions keep Python's fallback, which rebinds,
+    since they are immutable.
+    """
 
     __slots__ = ("vector", "dtype", "length")
 
@@ -239,6 +224,32 @@ class Leaf(Expression):
         self.dtype = vector.dtype
         self.length = len(vector)
 
+    def __len__(self) -> int:
+        return self.length
+
+    __iadd__ = _no_in_place("+")
+    __isub__ = _no_in_place("-")
+    __imul__ = _no_in_place("*")
+
+    def assign(self, expression, **plan_kwargs) -> None:
+        """Evaluate a lazy expression into this vector in one fused pass."""
+        engine.execute_assign(AssignNode(self, expression), **plan_kwargs)
+
+    def read_block(self, lo, hi):
+        return self.vector.read_block(lo, hi)
+
+    def read_element(self, i):
+        return self.vector.read_element(i)
+
+    def write_block(self, lo, hi, values):
+        self.vector.write_block(lo, hi, values)
+
+    def write_element(self, i, value):
+        self.vector.write_element(i, value)
+
+    def write_window(self, lo, hi):
+        return self.vector.write_window(lo, hi)
+
     def leaves(self):
         yield self
 
@@ -246,16 +257,16 @@ class Leaf(Expression):
         pass
 
     def load(self, lo, hi, s):
-        s[self] = LaneVector(self.vector.read_block(lo, hi))
+        s[self] = LaneVector(self.read_block(lo, hi))
 
     def vector_op(self, s):
         return s[self]
 
     def single_op(self, i):
-        return self.vector.read_element(i)
+        return self.read_element(i)
 
     def block_op(self, lo, hi, out, scratch):
-        return self.vector.read_block(lo, hi)
+        return self.read_block(lo, hi)
 
     def __repr__(self):
         return f"Leaf({self.vector!r})"
@@ -288,7 +299,7 @@ class _BinaryNode(Expression):
         self.register_footprint = left.register_footprint + right.register_footprint
         # the left result waits in out while the right one fills a register
         regs = left.registers
-        if type(right) is not Leaf and right.registers >= regs:
+        if not isinstance(right, Leaf) and right.registers >= regs:
             regs = right.registers + 1
         self.registers = regs
 
@@ -315,14 +326,14 @@ class _BinaryNode(Expression):
         # them. A leaf's view is read here, without its own block_op call.
         left, right = self.left, self.right
         held = None
-        if type(left) is Leaf:
-            a = left.vector.read_block(lo, hi)
+        if isinstance(left, Leaf):
+            a = left.read_block(lo, hi)
         elif out is not scratch.dest or out is None:
             a = out = left.block_op(lo, hi, out, scratch)
         else:
             a = held = left.block_op(lo, hi, scratch.pop() if scratch else None, scratch)
-        if type(right) is Leaf:
-            out = self._ufunc(a, right.vector.read_block(lo, hi), out=out)
+        if isinstance(right, Leaf):
+            out = self._ufunc(a, right.read_block(lo, hi), out=out)
         else:
             b = right.block_op(lo, hi, scratch.pop() if scratch else None, scratch)
             out = self._ufunc(a, b, out=out)
@@ -418,8 +429,8 @@ class ScaleNode(_UnaryNode, Expression):
 
     def block_op(self, lo, hi, out, scratch):
         child = self.child
-        if type(child) is Leaf:
-            return np.multiply(self.alpha, child.vector.read_block(lo, hi), out=out)
+        if isinstance(child, Leaf):
+            return np.multiply(self.alpha, child.read_block(lo, hi), out=out)
         v = child.block_op(lo, hi, out, scratch)
         return np.multiply(self.alpha, v, out=v)
 
@@ -428,11 +439,10 @@ class ScaleNode(_UnaryNode, Expression):
 
 
 class _Root(_UnaryNode):
-    """Evaluation root over one operand expression; a vector child is
-    wrapped in a Leaf. A root is not an operand: it has no operators, and
-    as_node, so also this constructor, rejects one with TypeError. Only
-    roots have the loop-wide contract calls; these defaults keep nothing
-    in the temporary and do nothing."""
+    """Evaluation root over one operand expression. A root is not an
+    operand: it has no operators, and as_node, so also this constructor,
+    rejects one with TypeError. Only roots have the loop-wide contract
+    calls; these defaults keep nothing in the temporary and do nothing."""
 
     __slots__ = ()
 
@@ -482,7 +492,7 @@ class AssignNode(_Root):
         source = self.child
         while type(source) is ScaleNode:
             source = source.child
-        if isinstance(source, _BinaryNode) and type(source.left) is not Leaf:
+        if isinstance(source, _BinaryNode) and not isinstance(source.left, Leaf):
             self.registers += 1
 
     source = property(operator.attrgetter("child"))
@@ -495,13 +505,13 @@ class AssignNode(_Root):
         s[self] = self.child.vector_op(s)
 
     def store(self, lo, hi, s):
-        self.dest.vector.write_block(lo, hi, s[self].lanes)
+        self.dest.write_block(lo, hi, s[self].lanes)
 
     def single_op(self, i, ts):
-        self.dest.vector.write_element(i, self.child.single_op(i))
+        self.dest.write_element(i, self.child.single_op(i))
 
     def block_commit(self, lo, hi, scratch):
-        out = scratch.dest = self.dest.vector.write_window(lo, hi)
+        out = scratch.dest = self.dest.write_window(lo, hi)
         values = self.child.block_op(lo, hi, out, scratch)
         if values is not out:
             out[...] = values  # a bare leaf source is copied

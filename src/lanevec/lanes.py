@@ -10,7 +10,6 @@ import numbers
 import numpy as np
 
 __all__ = [
-    "LaneCapabilities",
     "LaneVector",
     "LaneBackend",
     "scalar_backend",
@@ -46,20 +45,6 @@ def as_dtype(dtype) -> np.dtype:
 
 def dtype_name(dtype) -> str:
     return "f32" if as_dtype(dtype) == np.dtype(np.float32) else "f64"
-
-
-class LaneCapabilities:
-    """Static facts about a lane backend: its width and whether it packs
-    more than one scalar per operation."""
-
-    __slots__ = ("width", "specialized")
-
-    def __init__(self, width: int, specialized: bool):
-        self.width = width
-        self.specialized = specialized
-
-    def __repr__(self):
-        return f"LaneCapabilities(width={self.width}, specialized={self.specialized})"
 
 
 class LaneVector:
@@ -103,7 +88,7 @@ class LaneBackend:
     bit-identical across widths, so the fallback is a drop-in stand-in.
     """
 
-    __slots__ = ("dtype", "width", "specialized", "caps")
+    __slots__ = ("dtype", "width", "specialized")
 
     def __init__(self, dtype, width: int):
         dtype = as_dtype(dtype)
@@ -117,7 +102,12 @@ class LaneBackend:
         self.dtype = dtype
         self.width = width
         self.specialized = width > 1
-        self.caps = LaneCapabilities(width, self.specialized)
+
+    @property
+    def caps(self):
+        """The backend itself, which select_plan takes. Kept for the probes
+        in perfbench/, which call select_plan(..., backend.caps)."""
+        return self
 
     def splat(self, value) -> LaneVector:
         """Broadcast one scalar into every lane."""

@@ -26,14 +26,12 @@ def scal(alpha, x, **options) -> None:
     Destination and source are the same vector; the multiply reads each
     element before it writes it, so the exact-overlap case is safe.
     """
-    execute_assign(AssignNode(as_node(x), ScaleNode(alpha, as_node(x))), **options)
+    execute_assign(AssignNode(x, ScaleNode(alpha, as_node(x))), **options)
 
 
 def axpy(alpha, x, y, **options) -> None:
     """In-place update y = y + alpha * x."""
-    execute_assign(
-        AssignNode(as_node(y), as_node(y) + ScaleNode(alpha, as_node(x))), **options
-    )
+    execute_assign(AssignNode(y, as_node(y) + ScaleNode(alpha, as_node(x))), **options)
 
 
 def scaled_copy(alpha, x, out, **options) -> None:
@@ -42,12 +40,12 @@ def scaled_copy(alpha, x, out, **options) -> None:
     One read per source element, one write per destination element, no
     intermediate vector. out must not overlap x.
     """
-    execute_assign(AssignNode(as_node(out), ScaleNode(alpha, as_node(x))), **options)
+    execute_assign(AssignNode(out, ScaleNode(alpha, as_node(x))), **options)
 
 
 def sum(x, **options):
     """Sum of all elements."""
-    return execute_reduce(SumNode(as_node(x)), **options)
+    return execute_reduce(SumNode(x), **options)
 
 
 def norm2(x, **options):

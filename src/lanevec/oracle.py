@@ -7,7 +7,7 @@ sequence; for exact comparisons pass elements (and alpha) already in the
 target scalar type, e.g. via DenseVector.to_values().
 """
 
-from .expressions import VectorOperand
+from .expressions import Leaf
 from .vectors import DenseVector
 
 __all__ = [
@@ -72,21 +72,25 @@ def kahan_sum(values):
     return total + comp
 
 
-class CountingVector(VectorOperand):
+class CountingVector(Leaf):
     """Wrapper around a vector container that counts element traffic.
 
     Every read and write is tallied per element (a block access of k
     elements counts k), values pass through untouched. Supports the same
-    access surface and operator sugar as the wrapped container, so
-    expressions can be built over counting vectors directly.
+    access surface as the wrapped container, and is the Leaf node of
+    every expression over it: it must not define __eq__ or __hash__.
     """
 
     __slots__ = ("inner", "read_count", "write_count")
 
     def __init__(self, inner):
         self.inner = inner
+        self.dtype = inner.dtype
+        self.length = len(inner)
         self.read_count = 0
         self.write_count = 0
+
+    vector = property(lambda self: self, doc="The vector itself (see Leaf).")
 
     @classmethod
     def zeros(cls, n, dtype="f32"):
@@ -99,13 +103,6 @@ class CountingVector(VectorOperand):
     def reset_counts(self) -> None:
         self.read_count = 0
         self.write_count = 0
-
-    @property
-    def dtype(self):
-        return self.inner.dtype
-
-    def __len__(self) -> int:
-        return len(self.inner)
 
     def get(self, i):
         self.read_count += 1

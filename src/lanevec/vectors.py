@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .expressions import VectorOperand
+from .expressions import Leaf
 from .lanes import CONTAINER_ALIGNMENT, as_dtype
 
 __all__ = ["DenseVector"]
@@ -16,21 +16,25 @@ def _aligned_empty(n: int, dtype: np.dtype) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype)
 
 
-class DenseVector(VectorOperand):
+class DenseVector(Leaf):
     """Fixed-length contiguous array of f32 or f64 scalars.
 
     The length never changes after construction and the storage stays
     aligned for every lane backend, so evaluation loops can use aligned
     block access unconditionally. Zero-length vectors are legal and every
-    loop degenerates cleanly over them. Arithmetic builds lazy expression
-    nodes and `assign` evaluates one into the vector (VectorOperand).
+    loop degenerates cleanly over them. The vector is the Leaf node of
+    every expression over it, and `assign` evaluates one into it. It is a
+    key in slot dicts, so it must not define __eq__ or __hash__.
     """
 
-    __slots__ = ("_data", "_dtype")
+    __slots__ = ("_data",)
 
     def __init__(self, data: np.ndarray, dtype: np.dtype):
         self._data = data
-        self._dtype = dtype
+        self.dtype = dtype
+        self.length = data.shape[0]
+
+    vector = property(lambda self: self, doc="The vector itself (see Leaf).")
 
     @classmethod
     def zeros(cls, n: int, dtype="f32") -> "DenseVector":
@@ -49,23 +53,16 @@ class DenseVector(VectorOperand):
         buf[:] = src
         return cls(buf, dt)
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
-
-    def __len__(self) -> int:
-        return self._data.shape[0]
-
     def get(self, i: int):
         self._check_index(i)
         return self._data[i]
 
     def set(self, i: int, value) -> None:
         self._check_index(i)
-        self._data[i] = self._dtype.type(value)
+        self._data[i] = self.dtype.type(value)
 
     def _check_index(self, i: int) -> None:
-        if not 0 <= i < self._data.shape[0]:
+        if not 0 <= i < self.length:
             raise IndexError(f"index {i} out of range for length {len(self)}")
 
     def __getitem__(self, i: int):
@@ -110,4 +107,4 @@ class DenseVector(VectorOperand):
         n = len(self)
         shown = ", ".join(repr(float(v)) for v in self._data[:6])
         tail = ", ..." if n > 6 else ""
-        return f"DenseVector([{shown}{tail}], len={n}, dtype={self._dtype})"
+        return f"DenseVector([{shown}{tail}], len={n}, dtype={self.dtype})"

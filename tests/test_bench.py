@@ -162,6 +162,8 @@ def test_cli_stdout_default(capsys):
         ["--op", "dot,dog"],
         ["--op", ","],
         ["--variants", "engine,turbo"],
+        ["--variants", ""],
+        ["--variants", ","],
         ["--sizes", "ten"],
         ["--sizes", "-4"],
         ["--reps", "0"],

@@ -16,6 +16,7 @@ from lanevec.expressions import (
     combine_partials,
     common_length,
 )
+from lanevec.engine import execute_assign, execute_reduce
 from lanevec.oracle import CountingVector
 from lanevec.vectors import DenseVector
 
@@ -25,10 +26,13 @@ def vec(*values, dtype="f32"):
 
 
 def test_as_node_wraps_vectors_and_passes_nodes_through():
-    x = vec(1, 2)
+    x, y = vec(1, 2), vec(3, 4)
     leaf = as_node(x)
     assert isinstance(leaf, Leaf)
     assert leaf.vector is x
+    # a vector is its own leaf: nothing is built around it
+    assert leaf is x
+    assert (x + y).left is x
     node = leaf + leaf
     assert as_node(node) is node
     with pytest.raises(TypeError):
@@ -165,6 +169,25 @@ def test_common_length_agreement_and_mismatch():
         common_length(AssignNode(as_node(short), as_node(a) + as_node(b)))
 
 
+@pytest.mark.parametrize("make", [DenseVector.from_values, CountingVector.from_values])
+@pytest.mark.parametrize("stepped", [False, True])
+def test_leaf_wrapper_matches_the_vector_as_its_own_leaf(make, stepped):
+    """Leaf(v) forwards the accessors to v, so trees over wrappers give
+    the bits and the element traffic of the same trees over the vectors."""
+    rng = np.random.default_rng(3)
+    xv, yv = rng.uniform(-2, 2, (2, 133)).astype(np.float32)
+
+    def run(wrap):
+        x, y, out = make(xv), make(yv), make(np.zeros(133))
+        execute_assign(AssignNode(wrap(out), 1.5 * x + y), stepped=stepped)
+        got = execute_reduce(SumNode(MulNode(wrap(x), wrap(y))), stepped=stepped)
+        counts = [(getattr(v, "read_count", None), getattr(v, "write_count", None))
+                  for v in (x, y, out)]
+        return out.to_array().tobytes(), got.tobytes(), counts
+
+    assert run(Leaf) == run(lambda v: v)
+
+
 def test_length_mismatch_raises_when_the_tree_is_built():
     x, y = CountingVector.from_values(range(5)), CountingVector.from_values(range(5))
     short = CountingVector.from_values(range(4))
@@ -279,9 +302,12 @@ def test_slot_holds_each_register_under_its_node():
     for name, (root, footprint) in roots.items():
         assert root.register_footprint == footprint, name
         s = filled_slot(root)
-        # one register per unit of footprint, each under the node holding it
-        assert len(s) == footprint, name
-        assert set(s) == {root, *_register_holders(root.child)}, name
+        # one register per distinct node holding one, under that node; a
+        # vector named twice is one node, so spill holds fewer than its
+        # footprint
+        holders = _register_holders(root.child)
+        assert len(s) == len({root, *holders}), name
+        assert set(s) == {root, *holders}, name
 
         if isinstance(root, SumNode):
             ts = {}

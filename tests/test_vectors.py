@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from lanevec import dot
 from lanevec.expressions import AddNode, MulNode, ScaleNode, SubNode
 from lanevec.lanes import CONTAINER_ALIGNMENT
 from lanevec.oracle import CountingVector
@@ -141,6 +145,24 @@ def test_assign_evaluates_expressions():
     assert d.to_values() == [-8, -16, -24, -32, -40]
     d.assign(x)
     assert d.to_values() == [1, 2, 3, 4, 5]
+
+
+def test_evaluation_leaves_no_reference_cycle():
+    """A vector is its own leaf, so no evaluation makes a cycle through it:
+    with the cyclic collector off, deleting the vector frees its storage."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = DenseVector.from_values(range(100))
+        storage = weakref.ref(x._data)
+        dot(x, x)
+        x.assign(2.0 * x)
+        dot(x, x, stepped=True)
+        del x
+        assert storage() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_assign_accepts_plan_overrides():
