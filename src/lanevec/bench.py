@@ -6,20 +6,22 @@ cache hierarchy. Timing is best-of-R plus median-of-R over freshly seeded
 random data; throughput columns are derived from the best time. Strictly
 single threaded; pin the process to one core for stable numbers.
 
-Element traffic accounting per element, for scalar size s bytes:
+engine-U1 ... engine-U8 pin the unroll factor only for dot. For scal, axpy
+and scaled_copy the block executor checks the override and then runs the
+default strips, so those rows differ from engine only by the cost of the
+check.
 
-    op           flops  bytes
-    dot          2      2s     (read x, read y)
-    scal         1      2s     (read x, write x)
-    axpy         2      3s     (read x, read y, write y)
-    scaled_copy  1      2s     (read x, write out)
+Everything the sweep knows of an op, its flop and traffic accounting
+included, is its one entry in _KERNELS.
 """
 
 import argparse
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,11 +45,43 @@ __all__ = [
     "main",
 ]
 
-OPS = ("dot", "scal", "axpy", "scaled_copy")
-VARIANTS = ("engine", "naive", "engine-U1", "engine-U2", "engine-U4", "engine-U8")
 
-_FLOPS_PER_ELEMENT = {"dot": 2, "scal": 1, "axpy": 2, "scaled_copy": 1}
-_SCALARS_MOVED_PER_ELEMENT = {"dot": 2, "scal": 2, "axpy": 3, "scaled_copy": 2}
+@dataclass(frozen=True)
+class _Kernel:
+    """One op of the sweep.
+
+    flops and scalars (read plus written) count per element. args names
+    the engine call's positional arguments, from alpha, x, y and out;
+    _make_data builds y and out only for the ops that name them. The
+    naive call is the oracle, which takes the same arguments minus out
+    and returns what the engine writes there. updates names the operand
+    the engine call reads and overwrites, which measure resets between
+    reps.
+    """
+
+    flops: int
+    scalars: int
+    args: tuple
+    engine: Callable
+    naive: Callable
+    updates: str = None
+
+
+_KERNELS = {
+    # read x, read y
+    "dot": _Kernel(2, 2, ("x", "y"), _ops.dot, oracle_dot),
+    # read x, write x
+    "scal": _Kernel(1, 2, ("alpha", "x"), _ops.scal, oracle_scal, updates="x"),
+    # read x, read y, write y
+    "axpy": _Kernel(2, 3, ("alpha", "x", "y"), _ops.axpy, oracle_axpy,
+                    updates="y"),
+    # read x, write out
+    "scaled_copy": _Kernel(1, 2, ("alpha", "x", "out"), _ops.scaled_copy,
+                           oracle_scaled_copy),
+}
+
+OPS = tuple(_KERNELS)
+VARIANTS = ("engine", "naive", "engine-U1", "engine-U2", "engine-U4", "engine-U8")
 
 CSV_HEADER = "op,variant,type,n,reps,best_s,median_s,gflops,gbytes"
 
@@ -82,49 +116,29 @@ def default_sizes() -> list:
 
 
 def flop_count(op: str, n: int) -> int:
-    return _FLOPS_PER_ELEMENT[op] * n
+    return _KERNELS[op].flops * n
 
 
 def bytes_moved(op: str, n: int, dtype) -> int:
-    return _SCALARS_MOVED_PER_ELEMENT[op] * n * as_dtype(dtype).itemsize
+    return _KERNELS[op].scalars * n * as_dtype(dtype).itemsize
 
 
 def _make_data(op: str, n: int, dtype, seed: int):
+    args = _KERNELS[op].args
     rng = np.random.default_rng([seed, n, OPS.index(op)])
     x = DenseVector.from_values(rng.uniform(-1.0, 1.0, n), dtype)
-    y = None
-    out = None
-    if op in ("dot", "axpy"):
+    y = out = None
+    if "y" in args:
         y = DenseVector.from_values(rng.uniform(-1.0, 1.0, n), dtype)
-    if op == "scaled_copy":
+    if "out" in args:
         out = DenseVector.zeros(n, dtype)
     return x, y, out
 
 
 def _engine_call(op: str, x, y, out, alpha, options):
-    if op == "dot":
-        return lambda: _ops.dot(x, y, **options)
-    if op == "scal":
-        return lambda: _ops.scal(alpha, x, **options)
-    if op == "axpy":
-        return lambda: _ops.axpy(alpha, x, y, **options)
-    if op == "scaled_copy":
-        return lambda: _ops.scaled_copy(alpha, x, out, **options)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def _naive_call(op: str, x, y, alpha):
-    xs = x.to_values()
-    ys = y.to_values() if y is not None else None
-    if op == "dot":
-        return lambda: oracle_dot(xs, ys)
-    if op == "scal":
-        return lambda: oracle_scal(alpha, xs)
-    if op == "axpy":
-        return lambda: oracle_axpy(alpha, xs, ys)
-    if op == "scaled_copy":
-        return lambda: oracle_scaled_copy(alpha, xs)
-    raise ValueError(f"unknown op {op!r}")
+    kernel = _KERNELS[op]
+    named = {"alpha": alpha, "x": x, "y": y, "out": out}
+    return partial(kernel.engine, *(named[a] for a in kernel.args), **options)
 
 
 def _variant_options(variant: str):
@@ -138,23 +152,22 @@ def measure(op: str, variant: str, n: int, dtype, reps: int, warmup: int,
     """Time one op/variant/size combination and derive throughput."""
     dt = as_dtype(dtype)
     alpha = dt.type(_ALPHA)
+    kernel = _KERNELS[op]
     x, y, out = _make_data(op, n, dt, seed)
 
+    restore = None
     if variant == "naive":
-        call = _naive_call(op, x, y, alpha)
-        restore = None
+        named = {"alpha": alpha, "x": x.to_values(),
+                 "y": None if y is None else y.to_values()}
+        call = partial(kernel.naive, *(named[a] for a in kernel.args if a != "out"))
     else:
         call = _engine_call(op, x, y, out, alpha, _variant_options(variant))
-        # In-place ops are re-run many times; reset the mutated operand
+        # In-place ops are re-run many times; reset the updated operand
         # between reps, outside the timed region.
-        if op == "scal" and n:
-            pristine = x.to_array()
-            restore = lambda: x.write_block(0, n, pristine)
-        elif op == "axpy" and n:
-            pristine = y.to_array()
-            restore = lambda: y.write_block(0, n, pristine)
-        else:
-            restore = None
+        if kernel.updates and n:
+            updated = {"x": x, "y": y}[kernel.updates]
+            pristine = updated.to_array()
+            restore = lambda: updated.write_block(0, n, pristine)
 
     for _ in range(warmup):
         if restore:
@@ -185,55 +198,45 @@ def measure(op: str, variant: str, n: int, dtype, reps: int, warmup: int,
 
 
 def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0) -> list:
-    """Measure every op x variant x size; record count is exactly the product."""
-    for op in ops:
-        if op not in OPS:
-            raise ValueError(f"unknown op {op!r}; choose from {', '.join(OPS)}")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(
-                f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}"
-            )
-    records = []
-    for op in ops:
-        for variant in variants:
-            for n in sizes:
-                records.append(measure(op, variant, n, dtype, reps, warmup, seed))
-    return records
+    """Measure every op x variant x size; record count is exactly the product.
 
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def record_lines(records):
-    yield CSV_HEADER
-    for r in records:
-        yield ",".join(
-            _format_value(v)
-            for v in (
-                r.op, r.variant, r.type, r.n, r.reps,
-                r.best_s, r.median_s, r.gflops, r.gbytes,
-            )
-        )
+    Every input is checked before the first measurement: ValueError if a
+    list is empty, a name unknown, a size negative, reps < 1 or warmup < 0.
+    """
+    for kind, names, known in (("op", ops, OPS), ("variant", variants, VARIANTS)):
+        if not names:
+            raise ValueError(f"no {kind} given; choose from {', '.join(known)}")
+        for name in names:
+            if name not in known:
+                raise ValueError(
+                    f"unknown {kind} {name!r}; choose from {', '.join(known)}"
+                )
+    if not sizes or min(sizes) < 0:
+        raise ValueError("sizes must be one or more non-negative integers")
+    if reps < 1 or warmup < 0:
+        raise ValueError("reps must be >= 1 and warmup >= 0")
+    return [
+        measure(op, variant, n, dtype, reps, warmup, seed)
+        for op in ops
+        for variant in variants
+        for n in sizes
+    ]
 
 
 def emit_csv(records, destination) -> None:
     """Write the header plus one row per record.
 
-    destination is a path, or "-" for stdout. Floats are written in
-    shortest round-trip decimal, so re-parsing reproduces them exactly.
-    OSError propagates to the caller.
+    destination is a path, or "-" for stdout. Every field is written with
+    str, the shortest round-trip decimal for Python and NumPy floats alike,
+    so re-parsing reproduces them exactly. OSError propagates to the caller.
     """
+    rows = [CSV_HEADER] + [",".join(map(str, astuple(r))) for r in records]
+    text = "\n".join(rows) + "\n"
     if destination == "-":
-        for line in record_lines(records):
-            sys.stdout.write(line + "\n")
+        sys.stdout.write(text)
         return
     with open(destination, "w") as f:
-        for line in record_lines(records):
-            f.write(line + "\n")
+        f.write(text)
 
 
 def parse_csv(text: str) -> list:
@@ -251,16 +254,8 @@ def parse_csv(text: str) -> list:
     return records
 
 
-def _parse_sizes(text: str, parser) -> list:
-    if text == "default":
-        return default_sizes()
-    try:
-        sizes = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        parser.error(f"--sizes expects integers or 'default', got {text!r}")
-    if not sizes or any(n < 0 for n in sizes):
-        parser.error("--sizes expects non-negative integers")
-    return sizes
+def _split(text: str) -> list:
+    return [part for part in text.split(",") if part]
 
 
 def main(argv=None) -> int:
@@ -280,58 +275,22 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", default="-", help="output path, '-' for stdout")
-    parser.add_argument("--cache-sizes", default=None,
-                        help="comma list of cache sizes in bytes, recorded in "
-                             "a .meta sidecar for plotting")
     args = parser.parse_args(argv)
 
-    ops = list(OPS) if args.op == "all" else [op for op in args.op.split(",") if op]
-    if not ops:
-        parser.error("--op expects a comma list of ops or 'all'")
-    for op in ops:
-        if op not in OPS:
-            parser.error(f"unknown op {op!r}; choose from {', '.join(OPS)} or all")
-    variants = [v for v in args.variants.split(",") if v]
-    if not variants:
-        parser.error("--variants expects a comma list of variants")
-    for variant in variants:
-        if variant not in VARIANTS:
-            parser.error(
-                f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}"
-            )
-    sizes = _parse_sizes(args.sizes, parser)
-    if args.reps < 1 or args.warmup < 0:
-        parser.error("--reps must be >= 1 and --warmup >= 0")
-
-    cache_sizes = None
-    if args.cache_sizes is not None:
-        try:
-            cache_sizes = [int(part) for part in args.cache_sizes.split(",") if part]
-        except ValueError:
-            parser.error(f"--cache-sizes expects integers, got {args.cache_sizes!r}")
-
-    records = run_sweep(ops, variants, sizes, dtype=args.type, reps=args.reps,
-                        warmup=args.warmup, seed=args.seed)
+    ops = list(OPS) if args.op == "all" else _split(args.op)
+    try:
+        sizes = (default_sizes() if args.sizes == "default"
+                 else [int(part) for part in _split(args.sizes)])
+        records = run_sweep(ops, _split(args.variants), sizes, dtype=args.type,
+                            reps=args.reps, warmup=args.warmup, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     try:
         emit_csv(records, args.csv)
     except OSError as exc:
         print(f"error: cannot write CSV to {args.csv}: {exc}", file=sys.stderr)
         return 1
-
-    if cache_sizes is not None:
-        if args.csv == "-":
-            print("note: --cache-sizes ignored when CSV goes to stdout",
-                  file=sys.stderr)
-        else:
-            meta_path = args.csv + ".meta"
-            try:
-                with open(meta_path, "w") as f:
-                    f.write("cache_sizes_bytes," +
-                            ",".join(str(c) for c in cache_sizes) + "\n")
-            except OSError as exc:
-                print(f"error: cannot write {meta_path}: {exc}", file=sys.stderr)
-                return 1
     return 0
 
 

@@ -68,8 +68,32 @@ def test_run_sweep_rejects_unknown_names():
         run_sweep(["dot"], ["turbo"], [16], reps=1, warmup=0)
 
 
-def test_all_variants_run():
-    records = run_sweep(["axpy"], list(VARIANTS), [33], reps=1, warmup=0)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"warmup": -1},
+        {"sizes": [16, -4]},
+        {"reps": 0},
+        {"ops": []},
+        {"variants": []},
+        {"sizes": []},
+    ],
+)
+def test_run_sweep_checks_inputs_before_measuring(kwargs, monkeypatch):
+    import lanevec.bench as bench
+
+    calls = []
+    monkeypatch.setattr(bench, "measure", lambda *args: calls.append(args))
+    sweep = {"ops": ["dot", "scal"], "variants": ["engine"], "sizes": [16],
+             "reps": 1, "warmup": 0, **kwargs}
+    with pytest.raises(ValueError):
+        run_sweep(**sweep)
+    assert calls == []
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_all_variants_run(op):
+    records = run_sweep([op], list(VARIANTS), [33], reps=1, warmup=0)
     assert [r.variant for r in records] == list(VARIANTS)
 
 
@@ -111,6 +135,15 @@ def test_emit_csv_to_stdout(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == CSV_HEADER
     assert out[1].startswith("dot,engine,f32,8,1,")
+
+
+def test_emit_csv_round_trips_numpy_scalars(tmp_path):
+    rec = BenchRecord("dot", "engine", "f32", np.int64(8), np.int64(1),
+                      np.float64(1e-6), np.float64(2e-6), np.float64(0.016),
+                      np.float64(0.064))
+    path = tmp_path / "numpy.csv"
+    emit_csv([rec], str(path))
+    assert parse_csv(path.read_text()) == [rec]
 
 
 def test_parse_csv_rejects_bad_header():
@@ -167,6 +200,7 @@ def test_cli_stdout_default(capsys):
         ["--sizes", "ten"],
         ["--sizes", "-4"],
         ["--reps", "0"],
+        ["--cache-sizes", "1024"],
     ],
 )
 def test_cli_rejects_bad_usage_with_exit_2(argv):
@@ -181,23 +215,6 @@ def test_cli_unwritable_csv_exits_1(tmp_path, capsys):
                  "--variants", "engine", "--csv", str(missing_dir)])
     assert code == 1
     assert "cannot write CSV" in capsys.readouterr().err
-
-
-def test_cli_cache_sizes_sidecar(tmp_path):
-    path = tmp_path / "swept.csv"
-    code = main(["--op", "dot", "--sizes", "8", "--reps", "1", "--warmup", "0",
-                 "--variants", "engine", "--csv", str(path),
-                 "--cache-sizes", "32768,262144,6291456"])
-    assert code == 0
-    meta = (tmp_path / "swept.csv.meta").read_text()
-    assert meta == "cache_sizes_bytes,32768,262144,6291456\n"
-
-
-def test_cli_cache_sizes_ignored_on_stdout(capsys):
-    code = main(["--op", "dot", "--sizes", "8", "--reps", "1", "--warmup", "0",
-                 "--variants", "engine", "--cache-sizes", "1024"])
-    assert code == 0
-    assert "ignored" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("op", ["scal", "axpy"])
