@@ -31,7 +31,7 @@ from .expressions import (
 from .lanes import (
     CONTAINER_ALIGNMENT,
     LaneBackend,
-    LaneVector,
+    LaneVector,  # not public; see lanes
     default_backend,
     horizontal_sum,
     scalar_backend,
@@ -63,7 +63,6 @@ __all__ = [
     "SumNode",
     "as_node",
     "LengthMismatchError",
-    "LaneVector",
     "LaneBackend",
     "scalar_backend",
     "wide_backend",

@@ -107,7 +107,7 @@ def _is_pow2(n: int) -> bool:
 class UnrollPlan:
     """Shape of one evaluation loop.
 
-    unroll: slots (lane vectors) processed per main-loop iteration.
+    unroll: slots (lane registers) processed per main-loop iteration.
     width: lanes per slot, taken from the backend.
     packages: load/op/store burst groups per iteration; each package
         covers unroll/packages consecutive slots. Only the stepped
@@ -124,8 +124,8 @@ class UnrollPlan:
 
     def __post_init__(self):
         # a bool is an int, and True would pass as 1
-        if bool in (type(self.unroll), type(self.packages)):
-            raise PlanError("unroll and packages are counts, not bools")
+        if bool in (type(self.unroll), type(self.width), type(self.packages)):
+            raise PlanError("unroll, width and packages are counts, not bools")
         if self.unroll not in UNROLL_FACTORS:
             raise PlanError(f"unsupported unroll factor {self.unroll}")
         if not _is_pow2(self.width):

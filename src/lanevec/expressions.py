@@ -77,6 +77,14 @@ registers, and a node object used twice in one tree, such as a vector
 named twice, holds one. The dicts and the block executor's Scratch are
 built fresh per evaluation, so one expression value can be evaluated
 concurrently from several threads.
+
+A lane register is a W-element NumPy array of the tree's dtype, and no
+register is ever written in place: a leaf's vector_op returns its
+register, any other makes a new array with +, - or *, and a root
+replaces its dict entry rather than updating it. That rule is why a
+leaf's register may be the view its read_block gives, and why an
+assignment whose destination is also a source leaf stays safe: the
+store to a window comes after the last read of that window.
 """
 
 import math
@@ -84,8 +92,6 @@ import numbers
 import operator
 
 import numpy as np
-
-from .lanes import LaneVector
 
 __all__ = [
     "Expression",
@@ -257,7 +263,7 @@ class Leaf(Expression):
         pass
 
     def load(self, lo, hi, s):
-        s[self] = LaneVector(self.read_block(lo, hi))
+        s[self] = self.read_block(lo, hi)
 
     def vector_op(self, s):
         return s[self]
@@ -505,7 +511,7 @@ class AssignNode(_Root):
         s[self] = self.child.vector_op(s)
 
     def store(self, lo, hi, s):
-        self.dest.write_block(lo, hi, s[self].lanes)
+        self.dest.write_block(lo, hi, s[self])
 
     def single_op(self, i, ts):
         self.dest.write_element(i, self.child.single_op(i))
@@ -554,7 +560,7 @@ class SumNode(_Root):
         ts[self] = ts[self] + self.child.single_op(i)
 
     def reduction(self, slots, ts):
-        return combine_partials([s[self].lanes for s in slots], ts[self])
+        return combine_partials([s[self] for s in slots], ts[self])
 
     def __repr__(self):
         return f"Sum({self.child!r})"

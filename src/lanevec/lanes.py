@@ -1,7 +1,12 @@
-"""Lane-vector abstraction: a uniform value type for packs of W scalars.
+"""Lane registers and the backends that make them.
 
-Everything above this layer talks in lane vectors and never sees how a
-backend actually moves or combines the W elements.
+A lane register is a plain W-element NumPy array of the backend's dtype,
+and the layers above combine registers with NumPy's +, - and *; nothing
+wraps them, and no register is written in place (see expressions). A
+backend fixes W and the dtype: it makes registers (splat, load_aligned),
+writes them back (store_aligned) and coerces scalars to the element
+type. Containers align their storage to CONTAINER_ALIGNMENT, which
+every backend made here fits.
 """
 
 import functools
@@ -10,7 +15,6 @@ import numbers
 import numpy as np
 
 __all__ = [
-    "LaneVector",
     "LaneBackend",
     "scalar_backend",
     "wide_backend",
@@ -47,41 +51,8 @@ def dtype_name(dtype) -> str:
     return "f32" if as_dtype(dtype) == np.dtype(np.float32) else "f64"
 
 
-class LaneVector:
-    """A pack of W scalars combined elementwise.
-
-    Arithmetic allocates a fresh register image; the wrapped array is never
-    mutated in place, so a LaneVector may safely alias container memory
-    between its load and the next store to the same window.
-    """
-
-    __slots__ = ("lanes",)
-
-    def __init__(self, lanes: np.ndarray):
-        self.lanes = lanes
-
-    @property
-    def width(self) -> int:
-        return self.lanes.shape[0]
-
-    def __add__(self, other):
-        return LaneVector(self.lanes + other.lanes)
-
-    def __sub__(self, other):
-        return LaneVector(self.lanes - other.lanes)
-
-    def __mul__(self, other):
-        return LaneVector(self.lanes * other.lanes)
-
-    def __iter__(self):
-        return iter(self.lanes)
-
-    def __repr__(self):
-        return f"LaneVector({self.lanes.tolist()})"
-
-
 class LaneBackend:
-    """Factory and memory bridge for lane vectors of one width and dtype.
+    """Factory and memory bridge for lane registers of one width and dtype.
 
     Width 1 is the portable fallback; a wider backend is `specialized` and
     batches W elements per operation. Elementwise results are
@@ -92,7 +63,8 @@ class LaneBackend:
 
     def __init__(self, dtype, width: int):
         dtype = as_dtype(dtype)
-        if width < 1 or width & (width - 1):
+        # a bool is an int, and True would pass as 1
+        if type(width) is bool or width < 1 or width & (width - 1):
             raise ValueError(f"lane width must be a power of two, got {width}")
         if width * dtype.itemsize > CONTAINER_ALIGNMENT:
             raise ValueError(
@@ -109,9 +81,9 @@ class LaneBackend:
         in perfbench/, which call select_plan(..., backend.caps)."""
         return self
 
-    def splat(self, value) -> LaneVector:
-        """Broadcast one scalar into every lane."""
-        return LaneVector(np.full(self.width, self.scalar(value), dtype=self.dtype))
+    def splat(self, value) -> np.ndarray:
+        """A new register holding one scalar in every lane."""
+        return np.full(self.width, self.scalar(value), dtype=self.dtype)
 
     def scalar(self, value):
         """Coerce a number to this backend's element type."""
@@ -119,31 +91,37 @@ class LaneBackend:
             raise TypeError(f"expected a real scalar, got {type(value).__name__}")
         return self.dtype.type(value)
 
-    def load_aligned(self, region: np.ndarray, offset: int) -> LaneVector:
-        """Read lanes region[offset : offset+W].
+    def load_aligned(self, region: np.ndarray, offset: int) -> np.ndarray:
+        """The register region[offset : offset+W], a view of region.
 
         The caller guarantees offset is lane-aligned and in bounds; the
         container layer enforces base alignment.
         """
-        return LaneVector(region[offset : offset + self.width])
+        return region[offset : offset + self.width]
 
-    def store_aligned(self, region: np.ndarray, offset: int, v: LaneVector) -> None:
-        """Write v's lanes to region[offset : offset+W], touching nothing else."""
-        region[offset : offset + self.width] = v.lanes
+    def store_aligned(self, region: np.ndarray, offset: int, v: np.ndarray) -> None:
+        """Write register v to region[offset : offset+W], touching nothing else."""
+        region[offset : offset + self.width] = v
 
     def __repr__(self):
         kind = "wide" if self.specialized else "scalar"
         return f"LaneBackend({dtype_name(self.dtype)}, width={self.width}, {kind})"
 
 
-def horizontal_sum(v: LaneVector):
-    """Fold the lanes to one scalar, strictly left to right.
+def horizontal_sum(v: np.ndarray):
+    """Fold register v's lanes to one scalar, strictly left to right.
 
     The fixed order makes reductions reproducible across backends of equal
     width; it intentionally matches a plain sequential loop over the lanes.
     """
     # accumulate adds strictly in sequence; np.sum would add pairwise
-    return np.add.accumulate(v.lanes)[-1]
+    return np.add.accumulate(v)[-1]
+
+
+# Not public: only the lanes.horizontal_sum probe in perfbench/layers.py
+# calls lv.LaneVector(rows[0]). It goes when the probes move to the public
+# API, with the other names only they use (ROADMAP item 1).
+LaneVector = np.asarray
 
 
 def scalar_backend(dtype) -> LaneBackend:

@@ -1,5 +1,7 @@
 """Owned, aligned dense vectors: the leaves and destinations of expressions."""
 
+import numbers
+
 import numpy as np
 
 from .expressions import Leaf
@@ -38,6 +40,9 @@ class DenseVector(Leaf):
 
     @classmethod
     def zeros(cls, n: int, dtype="f32") -> "DenseVector":
+        # a bool is an Integral, and True would make a vector of length 1
+        if type(n) is bool or not isinstance(n, numbers.Integral):
+            raise TypeError(f"length n must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"length must be >= 0, got {n}")
         dt = as_dtype(dtype)

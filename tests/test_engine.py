@@ -130,6 +130,8 @@ def test_unroll_plan_invariants():
         UnrollPlan(4, 4, 1, 8)  # not a multiple of the 16-element block
     with pytest.raises(PlanError):
         UnrollPlan(4, 4, 1, -16)
+    with pytest.raises(PlanError):
+        UnrollPlan(1, True, 1, 0)  # a bool is not a width, though True == 1
 
 
 def test_prebuilt_plan_is_validated_against_tree_and_backend():

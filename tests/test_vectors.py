@@ -30,6 +30,11 @@ def test_zero_length_is_legal():
 def test_negative_length_rejected():
     with pytest.raises(ValueError):
         DenseVector.zeros(-1)
+    # a bool or a fractional length is a TypeError; NumPy integers pass
+    for bad in (True, 2.5):
+        with pytest.raises(TypeError, match="length n"):
+            DenseVector.zeros(bad)
+    assert len(DenseVector.zeros(np.int64(3))) == 3
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
