@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import ops as _ops
-from .lanes import as_dtype, dtype_name
+from .lanes import as_dtype, dtype_name, is_count
 from .oracle import (
     oracle_axpy,
     oracle_dot,
@@ -201,7 +201,8 @@ def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0) -> l
     """Measure every op x variant x size; record count is exactly the product.
 
     Every input is checked before the first measurement: ValueError if a
-    list is empty, a name unknown, a size negative, reps < 1 or warmup < 0.
+    list is empty, a name unknown, a size, reps or warmup not an integer, a
+    size negative, reps < 1 or warmup < 0.
     """
     for kind, names, known in (("op", ops, OPS), ("variant", variants, VARIANTS)):
         if not names:
@@ -211,10 +212,11 @@ def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0) -> l
                 raise ValueError(
                     f"unknown {kind} {name!r}; choose from {', '.join(known)}"
                 )
-    if not sizes or min(sizes) < 0:
+    if not sizes or not all(is_count(n) and n >= 0 for n in sizes):
         raise ValueError("sizes must be one or more non-negative integers")
-    if reps < 1 or warmup < 0:
-        raise ValueError("reps must be >= 1 and warmup >= 0")
+    for name, value, least in (("reps", reps, 1), ("warmup", warmup, 0)):
+        if not is_count(value) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return [
         measure(op, variant, n, dtype, reps, warmup, seed)
         for op in ops

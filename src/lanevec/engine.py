@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import AssignNode, Leaf, Scratch, SumNode, combine_partials
-from .lanes import CONTAINER_ALIGNMENT, LaneBackend, default_backend
+from .lanes import CONTAINER_ALIGNMENT, LaneBackend, default_backend, is_count
 
 __all__ = [
     "UnrollPlan",
@@ -123,9 +123,10 @@ class UnrollPlan:
     masked_length: int
 
     def __post_init__(self):
-        # a bool is an int, and True would pass as 1
-        if bool in (type(self.unroll), type(self.width), type(self.packages)):
-            raise PlanError("unroll, width and packages are counts, not bools")
+        for name in ("unroll", "width", "packages", "masked_length"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise PlanError(f"{name} must be an integer, got {value!r}")
         if self.unroll not in UNROLL_FACTORS:
             raise PlanError(f"unsupported unroll factor {self.unroll}")
         if not _is_pow2(self.width):
@@ -173,16 +174,19 @@ def select_plan(
     asks otherwise. Packages default to one burst group spanning the
     whole iteration.
     """
-    if footprint < 1:
-        raise PlanError(f"register footprint must be >= 1, got {footprint}")
-    if length < 0:
-        raise PlanError(f"length must be >= 0, got {length}")
+    if not is_count(footprint) or footprint < 1:
+        raise PlanError(f"register footprint must be an integer >= 1, got {footprint!r}")
+    if not is_count(length) or length < 0:
+        raise PlanError(f"length must be an integer >= 0, got {length!r}")
 
     width = backend.width
     if unroll is None:
         unroll = _default_unroll(footprint, backend.specialized)
     if packages is None:
         packages = 1
+    for name, value in (("unroll", unroll), ("packages", packages)):
+        if not is_count(value):
+            raise PlanError(f"{name} must be an integer, got {value!r}")
 
     return UnrollPlan(unroll, width, packages, masked_length(length, unroll, width))
 

@@ -2,15 +2,16 @@
 
 Every operand is an Expression, and a vector is one too: DenseVector
 and CountingVector are Leaf nodes, so a vector is the leaf of every tree
-it appears in and nothing is built to wrap it. Operands share one
-operator rule: a real scalar times an operand, on either side, scales
-it, and unary minus scales by -1; every other operand must pass as_node,
-so a scalar added to or subtracted from a vector raises TypeError.
+it appears in and nothing is built to wrap it. Every node constructor
+checks its children with as_node, and ScaleNode its factor for being real,
+so `AddNode(x, 3)` and `ScaleNode("2", x)` raise TypeError as `x + 3` does.
+An operand times a real scalar, on either side, scales, times anything else
+builds a MulNode, and unary minus scales by -1; there is no reflected + or -.
 
 An evaluation has one root, an AssignNode or a SumNode, over an operand
-expression. Roots are not operands: they have no operators, and as_node
-and the root constructors reject them with TypeError, so `SumNode(x) + y`
-and `SumNode(SumNode(x))` fail when they are built.
+expression. Roots are not operands: they have no operators, and as_node,
+which every constructor calls, rejects them with TypeError, so
+`SumNode(x) + y` and `SumNode(SumNode(x))` fail when they are built.
 
 Building a tree never touches vector elements, and checks lengths once:
 every node takes its element count, `length`, from its children when it
@@ -135,16 +136,22 @@ class Scratch(list):
 
 
 def as_node(obj) -> "Expression":
-    """Pass an operand, a vector included, through; reject anything else."""
+    """Each node's check of its children: pass an operand, raise TypeError."""
     if isinstance(obj, Expression):
         return obj
-    _reject_root(obj)
+    if isinstance(obj, _Root):
+        raise TypeError(f"{type(obj).__name__} is an evaluation root, not an operand")
     raise TypeError(f"cannot use {type(obj).__name__} in a vector expression")
 
 
-def _reject_root(obj):
-    if isinstance(obj, _Root):
-        raise TypeError(f"{type(obj).__name__} is an evaluation root, not an operand")
+def _check_agree(a, b, what):
+    """Raise if a and b, the two sides of `what`, mix element types or lengths."""
+    if a.dtype != b.dtype:
+        raise TypeError(f"mixed element types in {what}: {a.dtype} vs {b.dtype}")
+    if a.length != b.length:
+        raise LengthMismatchError(
+            f"expression mixes vectors of length {a.length} and {b.length}"
+        )
 
 
 # Exact types settled before the numbers.Real check, an ABC check that
@@ -161,7 +168,7 @@ def _is_real(obj) -> bool:
 
 class Expression:
     """Base class of operands, the nodes a root evaluates, vectors
-    included: a real scalar scales, any other operand must pass as_node."""
+    included: a real scalar scales; the node built checks any other."""
 
     __slots__ = ()
 
@@ -169,26 +176,19 @@ class Expression:
     __array_ufunc__ = None
 
     def __add__(self, other):
-        return AddNode(self, as_node(other))
-
-    def __radd__(self, other):
-        return AddNode(as_node(other), self)
+        return AddNode(self, other)
 
     def __sub__(self, other):
-        return SubNode(self, as_node(other))
-
-    def __rsub__(self, other):
-        return SubNode(as_node(other), self)
+        return SubNode(self, other)
 
     def __mul__(self, other):
         if _is_real(other):
             return ScaleNode(other, self)
-        return MulNode(self, as_node(other))
+        return MulNode(self, other)
 
-    def __rmul__(self, other):
-        if _is_real(other):
-            return ScaleNode(other, self)
-        return MulNode(as_node(other), self)
+    # Reached only when the left factor is not an operand: a real scalar
+    # scales, and MulNode rejects anything else, so the order never matters.
+    __rmul__ = __mul__
 
     def __neg__(self):
         return ScaleNode(-1, self)
@@ -288,16 +288,9 @@ class _BinaryNode(Expression):
     _symbol = "?"
 
     def __init__(self, left: Expression, right: Expression):
-        _reject_root(left)
-        _reject_root(right)
-        if left.dtype != right.dtype:
-            raise TypeError(
-                f"mixed element types in expression: {left.dtype} vs {right.dtype}"
-            )
-        if left.length != right.length:
-            raise LengthMismatchError(
-                f"expression mixes vectors of length {left.length} and {right.length}"
-            )
+        left = as_node(left)
+        right = as_node(right)
+        _check_agree(left, right, "expression")
         self.left = left
         self.right = right
         self.dtype = left.dtype
@@ -383,7 +376,7 @@ class _UnaryNode:
     __slots__ = ("child", "dtype", "length", "register_footprint", "registers")
 
     def __init__(self, child: Expression):
-        self.child = child
+        self.child = child = as_node(child)
         self.dtype = child.dtype
         self.length = child.length
         self.register_footprint = 1 + child.register_footprint
@@ -403,15 +396,16 @@ class ScaleNode(_UnaryNode, Expression):
     """scalar * expression; the scalar is hoisted into a lane register once
     per slot in load_once, never reloaded inside the loop.
 
-    A finite alpha that rounds to inf in the element type raises
-    OverflowError when the node is built, before any element is touched;
-    an explicit inf or NaN alpha is kept and follows IEEE arithmetic.
+    A non-real alpha raises TypeError, and a finite one that rounds to inf
+    in the element type OverflowError, when the node is built, before any
+    element is touched; an explicit inf or NaN alpha follows IEEE rules.
     """
 
     __slots__ = ("alpha",)
 
     def __init__(self, alpha, child: Expression):
-        _reject_root(child)
+        if not _is_real(alpha):
+            raise TypeError(f"scale factor must be a real number, got {alpha!r}")
         super().__init__(child)
         if abs(float(alpha)) > _LARGEST_FINITE[self.dtype]:
             # only here can the cast round to inf; errstate costs ~2 us, so
@@ -452,9 +446,6 @@ class _Root(_UnaryNode):
 
     __slots__ = ()
 
-    def __init__(self, child):
-        super().__init__(as_node(child))
-
     def init(self, ts):
         pass
 
@@ -484,14 +475,7 @@ class AssignNode(_Root):
         if not isinstance(dest, Leaf):
             raise TypeError("assignment destination must be a vector leaf")
         super().__init__(source)
-        if dest.dtype != self.dtype:
-            raise TypeError(
-                f"mixed element types in assignment: {dest.dtype} vs {self.dtype}"
-            )
-        if dest.length != self.length:
-            raise LengthMismatchError(
-                f"expression mixes vectors of length {dest.length} and {self.length}"
-            )
+        _check_agree(dest, self, "assignment")
         self.dest = dest
         # With the destination as out, the first binary node below any
         # scale nodes keeps a non-leaf left result in a register of its own.

@@ -51,6 +51,14 @@ def dtype_name(dtype) -> str:
     return "f32" if as_dtype(dtype) == np.dtype(np.float32) else "f64"
 
 
+def is_count(value) -> bool:
+    """Whether value is an integer count: an Integral, but not a bool, which
+    would pass as 0 or 1. An exact int skips the costlier ABC check."""
+    if type(value) is int:
+        return True
+    return type(value) is not bool and isinstance(value, numbers.Integral)
+
+
 class LaneBackend:
     """Factory and memory bridge for lane registers of one width and dtype.
 
@@ -63,9 +71,8 @@ class LaneBackend:
 
     def __init__(self, dtype, width: int):
         dtype = as_dtype(dtype)
-        # a bool is an int, and True would pass as 1
-        if type(width) is bool or width < 1 or width & (width - 1):
-            raise ValueError(f"lane width must be a power of two, got {width}")
+        if not is_count(width) or width < 1 or width & (width - 1):
+            raise ValueError(f"lane width must be a power-of-two integer, got {width!r}")
         if width * dtype.itemsize > CONTAINER_ALIGNMENT:
             raise ValueError(
                 f"width {width} exceeds the {CONTAINER_ALIGNMENT}-byte container "

@@ -10,14 +10,14 @@ unchanged.
 import numpy as np
 
 from .engine import execute_assign, execute_reduce
-from .expressions import AssignNode, MulNode, ScaleNode, SumNode, as_node
+from .expressions import AddNode, AssignNode, MulNode, ScaleNode, SumNode
 
 __all__ = ["dot", "scal", "axpy", "scaled_copy", "sum", "norm2"]
 
 
 def dot(x, y, **options):
     """Sum of elementwise products of two equal-length vectors."""
-    return execute_reduce(SumNode(MulNode(as_node(x), as_node(y))), **options)
+    return execute_reduce(SumNode(MulNode(x, y)), **options)
 
 
 def scal(alpha, x, **options) -> None:
@@ -26,12 +26,12 @@ def scal(alpha, x, **options) -> None:
     Destination and source are the same vector; the multiply reads each
     element before it writes it, so the exact-overlap case is safe.
     """
-    execute_assign(AssignNode(x, ScaleNode(alpha, as_node(x))), **options)
+    execute_assign(AssignNode(x, ScaleNode(alpha, x)), **options)
 
 
 def axpy(alpha, x, y, **options) -> None:
     """In-place update y = y + alpha * x."""
-    execute_assign(AssignNode(y, as_node(y) + ScaleNode(alpha, as_node(x))), **options)
+    execute_assign(AssignNode(y, AddNode(y, ScaleNode(alpha, x))), **options)
 
 
 def scaled_copy(alpha, x, out, **options) -> None:
@@ -40,7 +40,7 @@ def scaled_copy(alpha, x, out, **options) -> None:
     One read per source element, one write per destination element, no
     intermediate vector. out must not overlap x.
     """
-    execute_assign(AssignNode(out, ScaleNode(alpha, as_node(x))), **options)
+    execute_assign(AssignNode(out, ScaleNode(alpha, x)), **options)
 
 
 def sum(x, **options):

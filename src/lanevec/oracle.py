@@ -105,12 +105,13 @@ class CountingVector(Leaf):
         self.write_count = 0
 
     def get(self, i):
+        value = self.inner.get(i)  # a rejected index is not counted
         self.read_count += 1
-        return self.inner.get(i)
+        return value
 
     def set(self, i, value) -> None:
-        self.write_count += 1
         self.inner.set(i, value)
+        self.write_count += 1
 
     __getitem__ = get
     __setitem__ = set

@@ -1,11 +1,9 @@
 """Owned, aligned dense vectors: the leaves and destinations of expressions."""
 
-import numbers
-
 import numpy as np
 
 from .expressions import Leaf
-from .lanes import CONTAINER_ALIGNMENT, as_dtype
+from .lanes import CONTAINER_ALIGNMENT, as_dtype, is_count
 
 __all__ = ["DenseVector"]
 
@@ -40,8 +38,7 @@ class DenseVector(Leaf):
 
     @classmethod
     def zeros(cls, n: int, dtype="f32") -> "DenseVector":
-        # a bool is an Integral, and True would make a vector of length 1
-        if type(n) is bool or not isinstance(n, numbers.Integral):
+        if not is_count(n):
             raise TypeError(f"length n must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"length must be >= 0, got {n}")
@@ -67,6 +64,9 @@ class DenseVector(Leaf):
         self._data[i] = self.dtype.type(value)
 
     def _check_index(self, i: int) -> None:
+        # NumPy would read a bool index as a mask over every element
+        if not is_count(i):
+            raise TypeError(f"index must be an integer, got {i!r}")
         if not 0 <= i < self.length:
             raise IndexError(f"index {i} out of range for length {len(self)}")
 

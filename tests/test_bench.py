@@ -77,6 +77,10 @@ def test_run_sweep_rejects_unknown_names():
         {"ops": []},
         {"variants": []},
         {"sizes": []},
+        {"reps": 2.5},
+        {"warmup": 1.5},
+        {"sizes": [16.0]},
+        {"sizes": [True]},
     ],
 )
 def test_run_sweep_checks_inputs_before_measuring(kwargs, monkeypatch):

@@ -114,6 +114,8 @@ def test_select_plan_rejects_bad_configs():
         select_plan(2, 10, caps, unroll=4, packages=3)
     with pytest.raises(PlanError):
         select_plan(2, 10, caps, unroll=2, packages=4)
+    with pytest.raises(PlanError, match="footprint"):
+        select_plan(2.5, 10, caps)
 
 
 def test_unroll_plan_invariants():
@@ -132,6 +134,9 @@ def test_unroll_plan_invariants():
         UnrollPlan(4, 4, 1, -16)
     with pytest.raises(PlanError):
         UnrollPlan(1, True, 1, 0)  # a bool is not a width, though True == 1
+    for fields in ((2.0, 4, 1, 8), (2, 4, 1.0, 8), (2, 4, 1, 8.0), (1, 4.0, 1, 0)):
+        with pytest.raises(PlanError, match="must be an integer"):
+            UnrollPlan(*fields)
 
 
 def test_prebuilt_plan_is_validated_against_tree_and_backend():
@@ -251,6 +256,8 @@ def test_bad_override_inputs_get_the_right_error(kind, stepped):
     for options in (
         {"unroll": True},  # a bool is not an unroll factor, though True == 1
         {"packages": True},
+        {"unroll": 2.0},
+        {"packages": 1.0},
         # without a backend the default one is used, whose width is 16
         {"plan": UnrollPlan(1, 4, 1, 20)},
     ):

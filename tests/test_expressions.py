@@ -3,6 +3,7 @@ import fractions
 import numpy as np
 import pytest
 
+import lanevec as lv
 from lanevec.expressions import (
     AddNode,
     AssignNode,
@@ -39,6 +40,15 @@ def test_as_node_wraps_vectors_and_passes_nodes_through():
         as_node([1, 2, 3])
     with pytest.raises(TypeError):
         as_node(2.5)
+    # every node constructor passes its children through as_node
+    for build in (
+        lambda: AddNode(x, 3),
+        lambda: SubNode(3, x),
+        lambda: MulNode(x, "a"),
+        lambda: ScaleNode(2.0, [1, 2]),
+    ):
+        with pytest.raises(TypeError, match="cannot use"):
+            build()
 
 
 def test_operator_sugar_builds_the_expected_tree():
@@ -96,6 +106,15 @@ def test_operands_multiply_and_other_factors_raise_at_build():
         _ = x * "a"
     with pytest.raises(TypeError, match="root"):
         _ = x * SumNode(as_node(y))
+    # a scale factor must be a real number, and a bad one writes nothing
+    with pytest.raises(TypeError, match="scale factor"):
+        ScaleNode("2", x)
+    with pytest.raises(TypeError, match="scale factor"):
+        lv.scal("2", x)
+    with pytest.raises(TypeError, match="scale factor"):
+        lv.axpy("0.5", x, y)
+    assert x.to_values() == [1, 2]
+    assert y.to_values() == [3, 4]
 
 
 def test_mixed_element_types_rejected_at_construction():

@@ -139,6 +139,10 @@ def test_backend_validation():
         LaneBackend("f32", 32)  # 128 bytes > container alignment
     with pytest.raises(ValueError):
         wide_backend("f32", 1)
+    with pytest.raises(ValueError, match="width"):
+        LaneBackend("f32", 2.0)
+    with pytest.raises(ValueError, match="width"):
+        wide_backend("f32", 2.0)
     for dt in DTYPES:
         for w in (1, 2, 4, 8):
             assert LaneBackend(dt, w).specialized == (w > 1)

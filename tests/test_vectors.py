@@ -76,6 +76,19 @@ def test_get_set_and_index_errors():
             v.get(bad)
         with pytest.raises(IndexError):
             v.set(bad, 0)
+    # NumPy would read a bool index as a mask over every element
+    for v in (DenseVector.from_values([1, 2, 3]), CountingVector.from_values([1, 2, 3])):
+        for bad in (True, False, 1.0, np.float64(1)):
+            with pytest.raises(TypeError, match="index"):
+                v[bad]
+            with pytest.raises(TypeError, match="index"):
+                v[bad] = 9
+            with pytest.raises(TypeError, match="index"):
+                v.get(bad)
+            with pytest.raises(TypeError, match="index"):
+                v.set(bad, 9)
+        assert v.to_values() == [1, 2, 3]
+        assert getattr(v, "read_count", 0) == getattr(v, "write_count", 0) == 0
 
 
 def test_set_coerces_to_element_type():
