@@ -40,11 +40,13 @@ strip-length array (see the block_op contract in expressions):
   one main-loop iteration per row, and one fold down the rows adds each
   lane's elements in iteration order, with no strip and no copy. Any
   other reduction runs in strips sized like an assignment's, with its
-  fold buffer as one more register and whole iterations per strip; a
-  strip's terms are written into the rows of that buffer, whose first
+  fold buffer as one more register; a vector that fits one strip is one
+  strip, and longer ones take whole iterations per strip but the last.
+  A strip's terms are written into the rows of that buffer, whose first
   row holds the slot accumulators, and the same fold adds them. Every
-  lane starts at +0. The tail's terms, fewer than a row, come from one
-  more call into an array of its own and are added in order.
+  lane starts at +0. For both, the tail is the end of the last strip, as
+  for an assignment: the terms past its whole rows, fewer than a row,
+  are added in order, and no node is called again for them.
 
 A call builds only what its executor reads. The element count is the
 root's `length`, checked when the tree was built. With no plan, backend,
@@ -179,6 +181,7 @@ def select_plan(
     if not is_count(length) or length < 0:
         raise PlanError(f"length must be an integer >= 0, got {length!r}")
 
+    _check_backend(backend)
     width = backend.width
     if unroll is None:
         unroll = _default_unroll(footprint, backend.specialized)
@@ -189,6 +192,11 @@ def select_plan(
             raise PlanError(f"{name} must be an integer, got {value!r}")
 
     return UnrollPlan(unroll, width, packages, masked_length(length, unroll, width))
+
+
+def _check_backend(backend) -> None:
+    if not isinstance(backend, LaneBackend):
+        raise TypeError(f"backend must be a LaneBackend, got {type(backend).__name__}")
 
 
 # Footprints in use are few; the bound only caps a process that makes many.
@@ -213,8 +221,7 @@ def _resolve(root, plan, backend, unroll, packages):
     length = root.length
     if backend is None:
         backend = default_backend(root.dtype)
-    elif not isinstance(backend, LaneBackend):
-        raise TypeError(f"backend must be a LaneBackend, got {type(backend).__name__}")
+    _check_backend(backend)
     if backend.dtype != root.dtype:
         raise PlanError(
             f"backend element type {backend.dtype} does not match "
@@ -326,12 +333,15 @@ def assign_strip(root, length: int) -> int:
 
 
 def reduce_strip(root, block: int, length: int) -> int:
-    """Elements in one block-executor strip of a reduction root over the
-    `length` elements of its main loop, `block` (U*W) per iteration: the
-    rule of assign_strip with the fold buffer as one more register, cut
-    to whole iterations, at least one."""
+    """Elements in one block-executor strip of a reduction root over
+    `length` elements, `block` (U*W) per main-loop iteration: the rule of
+    assign_strip with the fold buffer as one more register. A vector that
+    needs more than one strip has it cut to whole iterations, at least
+    one; otherwise the one strip holds the whole vector, tail included."""
     strip = _strip(root.registers + 1, root.dtype, length)
-    return max(strip - strip % block, block)
+    if strip < length:
+        return max(strip - strip % block, block)
+    return strip
 
 
 def _run_block_assign(root):
@@ -352,33 +362,38 @@ def _run_block_reduce(root, unroll, width):
     block = unroll * width
     n = masked_length(length, unroll, width)
     child = root.child
-    terms = child.block_op
-    scratch = Scratch()
-    scratch.dest = None
     if isinstance(child, Leaf) and block > 1:
         # Row r of the view holds main-loop iteration r, lane j of slot s
         # at column s*width + j; the fold adds each column in row order.
         # At U*W = 1 the view would collapse to 1-D, so it takes strips.
-        view = child.read_block(0, n).reshape(-1, block)
-        lanes = np.add.reduce(view, axis=0, initial=0)
+        view = child.read_block(0, length)
+        lanes = np.add.reduce(view[:n].reshape(-1, block), axis=0, initial=0)
+        tail = view[n:]
     else:
         # Row 0 holds the slot-accumulator lanes; a strip's terms are
         # written into the rows below it, one iteration per row, and the
-        # fold writes into `lanes`, not over its own input row 0.
-        strip = reduce_strip(root, block, n)
-        buf = np.zeros((min(strip, n) // block + 1, block), dtype=root.dtype)
+        # fold writes into `lanes`, not over its own input row 0. Only the
+        # last strip ends in a part row: its terms are the tail.
+        terms = child.block_op
+        scratch = Scratch()
+        scratch.dest = None
+        strip = reduce_strip(root, block, length)
+        buf = np.zeros((-(-min(strip, length) // block) + 1, block), dtype=root.dtype)
         flat = buf.ravel()
         lanes = buf[0].copy()
-        for lo in range(0, n, strip):
+        for lo in range(0, length, strip):
             hi = lo + strip
-            if hi > n:
-                hi = n
+            if hi > length:
+                hi = length
                 scratch.fit(hi - lo)
             rows = (hi - lo) // block
             out = flat[block : block + hi - lo]
             values = terms(lo, hi, out, scratch)
             if values is not out:
                 out[...] = values  # a leaf's own storage is copied
+            tail = out[rows * block :]
+            if rows == 0:
+                break  # the last strip holds only tail terms
             if block > 1:
                 np.add.reduce(buf[: rows + 1], axis=0, out=lanes)
             else:
@@ -392,9 +407,7 @@ def _run_block_reduce(root, unroll, width):
     # when the remainder is added to the lane total, which is never -0.
     remainder = root.dtype.type(0)
     if length > n:
-        # fewer terms than a row: the ufunc makes their array
-        scratch.fit(length - n)
-        remainder = np.add.accumulate(terms(n, length, None, scratch))[-1]
+        remainder = np.add.accumulate(tail)[-1]
     return combine_partials(lanes.reshape(unroll, width), remainder)
 
 

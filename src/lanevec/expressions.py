@@ -207,10 +207,11 @@ def _no_in_place(symbol):
 class Leaf(Expression):
     """A vector as the leaf node of every tree it appears in.
 
-    DenseVector and CountingVector are Leaf subclasses: each implements
-    the five accessors below, sets `dtype` and `length`, and makes
-    `vector` a property that returns itself, not a stored self-reference,
-    which would make a cycle. `Leaf(v)` wraps any other container and
+    DenseVector is a Leaf subclass, and CountingVector a DenseVector that
+    counts: each implements the five accessors below. DenseVector sets
+    `dtype` and `length` and makes `vector` a property that returns
+    itself, not a stored self-reference, which would make a cycle;
+    CountingVector inherits it. `Leaf(v)` wraps any other container and
     forwards the accessors to it; the wrapper and `vector` are kept for
     the probes in perfbench/, which build `Leaf(out)` and read
     `node.vector`. A vector is a key in slot dicts, so no subclass may
@@ -382,9 +383,6 @@ class _UnaryNode:
         self.register_footprint = 1 + child.register_footprint
         self.registers = child.registers
 
-    def leaves(self):
-        return self.child.leaves()
-
     def load_once(self, s, backend):
         self.child.load_once(s, backend)
 
@@ -416,6 +414,9 @@ class ScaleNode(_UnaryNode, Expression):
                 raise OverflowError(f"scale factor {alpha!r} overflows {self.dtype}")
         else:
             self.alpha = self.dtype.type(alpha)
+
+    def leaves(self):
+        return self.child.leaves()
 
     def load_once(self, s, backend):
         s[self] = backend.splat(self.alpha)
@@ -487,10 +488,6 @@ class AssignNode(_Root):
 
     source = property(operator.attrgetter("child"))
 
-    def leaves(self):
-        yield self.dest
-        yield from self.child.leaves()
-
     def vector_op(self, s):
         s[self] = self.child.vector_op(s)
 
@@ -524,8 +521,9 @@ class SumNode(_Root):
     keeps the accumulators itself. Over a bare leaf it folds the leaf's
     masked length, viewed as rows of U*W lanes, in one call; any other
     child's `block_op` writes the summands of each strip into the rows of
-    its fold buffer (private scratch), and the tail's, in one more call,
-    into an array of their own.
+    its fold buffer (private scratch). Either way the tail is the end of
+    the last strip, the elements or summands past its whole rows, and is
+    added in order without another call down the tree.
     """
 
     __slots__ = ()

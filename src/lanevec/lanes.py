@@ -141,7 +141,7 @@ def wide_backend(dtype, width: int | None = None) -> LaneBackend:
     dt = as_dtype(dtype)
     if width is None:
         width = _DEFAULT_BLOCK_BYTES // dt.itemsize
-    if width < 2:
+    if is_count(width) and width < 2:  # LaneBackend rejects a non-integer
         raise ValueError("wide backends start at width 2; use scalar_backend")
     return LaneBackend(dt, width)
 

@@ -7,7 +7,6 @@ sequence; for exact comparisons pass elements (and alpha) already in the
 target scalar type, e.g. via DenseVector.to_values().
 """
 
-from .expressions import Leaf
 from .vectors import DenseVector
 
 __all__ = [
@@ -72,79 +71,52 @@ def kahan_sum(values):
     return total + comp
 
 
-class CountingVector(Leaf):
-    """Wrapper around a vector container that counts element traffic.
+class CountingVector(DenseVector):
+    """A DenseVector that counts its element traffic.
 
-    Every read and write is tallied per element (a block access of k
-    elements counts k), values pass through untouched. Supports the same
-    access surface as the wrapped container, and is the Leaf node of
-    every expression over it: it must not define __eq__ or __hash__.
+    Each of the five element accessors tallies the elements it touches (a
+    block access of k elements counts k) and passes values through
+    untouched; get, set and indexing go through read_element and
+    write_element, so they count too. `CountingVector(v)` counts the
+    traffic of v's storage, which it shares; zeros and from_values make
+    storage of its own.
     """
 
-    __slots__ = ("inner", "read_count", "write_count")
+    __slots__ = ("read_count", "write_count")
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.dtype = inner.dtype
-        self.length = len(inner)
-        self.read_count = 0
-        self.write_count = 0
-
-    vector = property(lambda self: self, doc="The vector itself (see Leaf).")
-
-    @classmethod
-    def zeros(cls, n, dtype="f32"):
-        return cls(DenseVector.zeros(n, dtype))
-
-    @classmethod
-    def from_values(cls, values, dtype="f32"):
-        return cls(DenseVector.from_values(values, dtype))
+    def __init__(self, data, dtype=None):
+        if dtype is None:  # CountingVector(v)
+            data, dtype = data._data, data.dtype
+        super().__init__(data, dtype)
+        self.reset_counts()
 
     def reset_counts(self) -> None:
         self.read_count = 0
         self.write_count = 0
 
-    def get(self, i):
-        value = self.inner.get(i)  # a rejected index is not counted
-        self.read_count += 1
-        return value
-
-    def set(self, i, value) -> None:
-        self.inner.set(i, value)
-        self.write_count += 1
-
-    __getitem__ = get
-    __setitem__ = set
-
-    def to_values(self) -> list:
-        return self.inner.to_values()
-
-    def to_array(self):
-        return self.inner.to_array()
-
     def read_element(self, i):
         self.read_count += 1
-        return self.inner.read_element(i)
+        return self._data[i]
 
     def write_element(self, i, value) -> None:
         self.write_count += 1
-        self.inner.write_element(i, value)
+        self._data[i] = value
 
     def read_block(self, lo, hi):
         self.read_count += hi - lo
-        return self.inner.read_block(lo, hi)
+        return self._data[lo:hi]
 
     def write_block(self, lo, hi, values) -> None:
         self.write_count += hi - lo
-        self.inner.write_block(lo, hi, values)
+        self._data[lo:hi] = values
 
     def write_window(self, lo, hi):
         # the caller writes every element of the window once
         self.write_count += hi - lo
-        return self.inner.write_window(lo, hi)
+        return self._data[lo:hi]
 
     def __repr__(self):
         return (
-            f"CountingVector({self.inner!r}, reads={self.read_count}, "
+            f"CountingVector({super().__repr__()}, reads={self.read_count}, "
             f"writes={self.write_count})"
         )

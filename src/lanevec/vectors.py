@@ -1,5 +1,7 @@
 """Owned, aligned dense vectors: the leaves and destinations of expressions."""
 
+import numbers
+
 import numpy as np
 
 from .expressions import Leaf
@@ -14,6 +16,17 @@ def _aligned_empty(n: int, dtype: np.dtype) -> np.ndarray:
     raw = np.empty(nbytes + CONTAINER_ALIGNMENT, dtype=np.uint8)
     start = (-raw.ctypes.data) % CONTAINER_ALIGNMENT
     return raw[start : start + nbytes].view(dtype)
+
+
+def _reals(values) -> np.ndarray:
+    """values as an array; TypeError if an element is not a real number,
+    such as a string, which NumPy would parse and a scale factor refuses."""
+    src = np.asarray(values)
+    if src.dtype.kind not in "biuf":
+        for value in src.flat:
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"vector elements must be real numbers, got {value!r}")
+    return src
 
 
 class DenseVector(Leaf):
@@ -50,18 +63,18 @@ class DenseVector(Leaf):
     @classmethod
     def from_values(cls, values, dtype="f32") -> "DenseVector":
         dt = as_dtype(dtype)
-        src = np.asarray(values, dtype=dt).reshape(-1)
+        src = _reals(values).reshape(-1)
         buf = _aligned_empty(src.shape[0], dt)
         buf[:] = src
         return cls(buf, dt)
 
     def get(self, i: int):
         self._check_index(i)
-        return self._data[i]
+        return self.read_element(i)
 
     def set(self, i: int, value) -> None:
         self._check_index(i)
-        self._data[i] = self.dtype.type(value)
+        self.write_element(i, self.dtype.type(_reals(value)))
 
     def _check_index(self, i: int) -> None:
         # NumPy would read a bool index as a mask over every element

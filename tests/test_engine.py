@@ -18,7 +18,7 @@ from lanevec.engine import (
     reduce_strip,
     select_plan,
 )
-from lanevec.expressions import AssignNode, ScaleNode, SumNode, as_node
+from lanevec.expressions import AssignNode, MulNode, ScaleNode, SumNode, as_node
 from lanevec.lanes import as_dtype, default_backend, scalar_backend, wide_backend
 from lanevec.ops import axpy, dot, scal, scaled_copy
 from lanevec.ops import sum as vec_sum
@@ -116,6 +116,8 @@ def test_select_plan_rejects_bad_configs():
         select_plan(2, 10, caps, unroll=2, packages=4)
     with pytest.raises(PlanError, match="footprint"):
         select_plan(2.5, 10, caps)
+    with pytest.raises(TypeError, match="backend"):
+        select_plan(2, 10, "x")
 
 
 def test_unroll_plan_invariants():
@@ -265,6 +267,8 @@ def test_bad_override_inputs_get_the_right_error(kind, stepped):
             run(**options)
     with pytest.raises(TypeError):
         run(plan=(1, 16, 1, 16))
+    with pytest.raises(TypeError, match="backend"):
+        run(backend="x")
     assert y.to_array().tobytes() == before.tobytes()
 
 
@@ -504,6 +508,33 @@ def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
                 r_step = execute_reduce(make(x, y), stepped=True, packages=packages, **opts)
                 assert r_block[name].tobytes() == r_step.tobytes(), (name, n, packages)
                 assert type(r_block[name]) is type(r_step) is backend.dtype.type
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_block_reduction_walks_its_tree_once_per_strip(dtype, monkeypatch):
+    """A reduction's tail is the end of its last strip: a dot that fits one
+    strip calls its product node once, tail included, a longer one once per
+    strip, and a zero-length one never."""
+    v = DenseVector.zeros(1, dtype)
+    root = make_dot(v, v)
+    block = select_plan(root.register_footprint, 0, default_backend(dtype)).block
+    s = reduce_strip(root, block, 1 << 40)
+    calls = []
+    block_op = MulNode.block_op
+
+    def spy(self, lo, hi, out, scratch):
+        calls.append((lo, hi))
+        return block_op(self, lo, hi, out, scratch)
+
+    for n, walks in ((100, [(0, 100)]), (0, []), (s + 5, [(0, s), (s, s + 5)])):
+        x, y = fresh_pair(n, dtype, seed=n)
+        want = dot(x, y, stepped=True)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(MulNode, "block_op", spy)
+            got = dot(x, y)
+        assert calls == walks, n
+        assert got.tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -143,6 +143,8 @@ def test_backend_validation():
         LaneBackend("f32", 2.0)
     with pytest.raises(ValueError, match="width"):
         wide_backend("f32", 2.0)
+    with pytest.raises(ValueError, match="width"):
+        wide_backend("f32", "a")
     for dt in DTYPES:
         for w in (1, 2, 4, 8):
             assert LaneBackend(dt, w).specialized == (w > 1)

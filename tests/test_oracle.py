@@ -98,6 +98,19 @@ def test_counting_vector_matches_plain_vector_results():
     assert plain == counted
 
 
+def test_counting_vector_shares_the_storage_of_the_vector_it_counts():
+    from lanevec import DenseVector
+
+    v = DenseVector.from_values([1, 2, 3])
+    cv = CountingVector(v)
+    assert isinstance(cv, DenseVector) and cv.vector is cv
+    cv[0] = 5
+    assert v.to_values() == [5, 2, 3]
+    v.set(1, 7)
+    assert cv.read_element(1) == 7
+    assert (cv.read_count, cv.write_count) == (1, 1)
+
+
 def test_counting_vector_len_and_dtype_pass_through():
     cv = CountingVector.zeros(6, "f64")
     assert len(cv) == 6

@@ -1,3 +1,4 @@
+import fractions
 import gc
 import weakref
 
@@ -89,6 +90,30 @@ def test_get_set_and_index_errors():
                 v.set(bad, 9)
         assert v.to_values() == [1, 2, 3]
         assert getattr(v, "read_count", 0) == getattr(v, "write_count", 0) == 0
+
+
+@pytest.mark.parametrize("make", [DenseVector.from_values, CountingVector.from_values])
+def test_element_values_must_be_real_numbers(make):
+    """A string is refused as an element, as it is as a scale factor,
+    though NumPy would parse it; a refused value writes nothing."""
+    v = make([1.0, 2.0])
+    for bad in ("2.5", b"2", None, 1j):
+        with pytest.raises(TypeError, match="real"):
+            v[0] = bad
+        with pytest.raises(TypeError, match="real"):
+            v.set(0, bad)
+    assert v.to_values() == [1.0, 2.0]
+    assert getattr(v, "write_count", 0) == 0
+    for bad in (["1", "2"], [1.0, "2"], [1.0, None], np.array(["1"])):
+        with pytest.raises(TypeError, match="real"):
+            make(bad)
+    # ints, floats, NumPy scalars and arrays, and fractions still load
+    for good in (2, 2.5, np.float64(2.5), np.int64(3), np.array(1.5), fractions.Fraction(5, 2)):
+        v[1] = good
+        assert v[1] == np.float32(good)
+    assert make(np.arange(3)).to_values() == [0, 1, 2]
+    values = [fractions.Fraction(1, 2), 2, np.float64(1.5), 4.0]
+    assert make(values).to_values() == [0.5, 2, 1.5, 4]
 
 
 def test_set_coerces_to_element_type():
