@@ -6,10 +6,10 @@ cache hierarchy. Timing is best-of-R plus median-of-R over freshly seeded
 random data; throughput columns are derived from the best time. Strictly
 single threaded; pin the process to one core for stable numbers.
 
-engine-U1 ... engine-U8 pin the unroll factor only for dot. For scal, axpy
-and scaled_copy the block executor checks the override and then runs the
-default strips, so those rows differ from engine only by the cost of the
-check.
+engine-U1 ... engine-U8 pin the unroll factor only for the reductions,
+dot, sum and norm2. For scal, axpy and scaled_copy the block executor
+checks the override and then runs the default strips, so those rows
+differ from engine only by the cost of the check.
 
 Everything the sweep knows of an op, its flop and traffic accounting
 included, is its one entry in _KERNELS.
@@ -32,6 +32,7 @@ from .oracle import (
     oracle_dot,
     oracle_scal,
     oracle_scaled_copy,
+    oracle_sum,
 )
 from .vectors import DenseVector
 
@@ -78,6 +79,11 @@ _KERNELS = {
     # read x, write out
     "scaled_copy": _Kernel(1, 2, ("alpha", "x", "out"), _ops.scaled_copy,
                            oracle_scaled_copy),
+    # read x
+    "sum": _Kernel(1, 1, ("x",), _ops.sum, oracle_sum),
+    # read x; the square root is one flop per call, not per element
+    "norm2": _Kernel(2, 1, ("x",), _ops.norm2,
+                     lambda x: np.sqrt(oracle_dot(x, x))),
 }
 
 OPS = tuple(_KERNELS)

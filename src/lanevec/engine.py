@@ -28,20 +28,20 @@ contiguous ufunc call per node per strip, each writing with out= into a
 strip-length array (see the block_op contract in expressions):
 
 - an assignment's root writes each strip straight into the
-  destination. Its scratch registers share SCRATCH_BYTES, so its strip
-  length follows from its register count, in whole 64-byte lines
-  (whatever U*W is); a tree that needs no register (scal, scaled_copy,
-  a*(x + y)) runs as one call per node over the whole length. The
-  register rule delays every write to the destination until the strip's
-  leaves have been read, so a destination that is also a source leaf
-  stays safe. The tail is just the end of the last strip, since every
-  result is elementwise;
+  destination. Each of its scratch registers holds SCRATCH_BYTES, so
+  every tree that needs one runs strips of the same length, set by the
+  dtype alone (whatever U*W or the register count is); a tree that
+  needs no register (scal, scaled_copy, a*(x + y)) runs as one call per
+  node over the whole length. The register rule delays every write to
+  the destination until the strip's leaves have been read, so a
+  destination that is also a source leaf stays safe. The tail is just
+  the end of the last strip, since every result is elementwise;
 - a sum over a bare leaf views the masked length as rows of U*W lanes,
   one main-loop iteration per row, and one fold down the rows adds each
   lane's elements in iteration order, with no strip and no copy. Any
-  other reduction runs in strips sized like an assignment's, with its
-  fold buffer as one more register; a vector that fits one strip is one
-  strip, and longer ones take whole iterations per strip but the last.
+  other reduction runs in strips of one register's length, the length
+  of its fold buffer; a vector that fits one strip is one strip, and
+  longer ones take whole iterations per strip but the last.
   A strip's terms are written into the rows of that buffer, whose first
   row holds the slot accumulators, and the same fold adds them. Every
   lane starts at +0. For both, the tail is the end of the last strip, as
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import AssignNode, Leaf, Scratch, SumNode, combine_partials
-from .lanes import CONTAINER_ALIGNMENT, LaneBackend, default_backend, is_count
+from .lanes import LaneBackend, default_backend, is_count
 
 __all__ = [
     "UnrollPlan",
@@ -90,10 +90,12 @@ __all__ = [
 
 UNROLL_FACTORS = (1, 2, 4, 8)
 DEFAULT_REGISTER_BUDGET = 16
-# Bytes shared by the scratch registers of one block-executor strip, so
-# that they stay in L2: one register gets 32768 f32 or 16384 f64 elements
-# per strip, four get a quarter of that each. A reduction's fold buffer
-# counts as one more register, so `dot` runs strips of one register.
+# Bytes of one block-executor scratch register, and so the strip length
+# of every tree that needs one: 32768 f32 or 16384 f64 elements. A tree
+# of k registers keeps k of them; a reduction's fold buffer is one more.
+# Longer strips spread each node's per-strip call over more elements;
+# 256 KiB per register ran slower at cache-resident size on a 2-vCPU Xeon
+# with 2 MiB of L2 per core.
 SCRATCH_BYTES = 128 * 1024
 
 
@@ -314,34 +316,28 @@ def _run_stepped(root, backend, plan, reduce_root, trace=None):
     return None
 
 
-def _strip(registers: int, dtype, length: int) -> int:
-    """The strip rule of assign_strip, for `registers` registers."""
-    if registers:
-        lines = SCRATCH_BYTES // (registers * CONTAINER_ALIGNMENT) or 1
-        strip = lines * (CONTAINER_ALIGNMENT // dtype.itemsize)
-        if strip < length:
-            return strip
-    return length or 1
-
-
 def assign_strip(root, length: int) -> int:
-    """Elements in one block-executor strip of an assignment root: its
-    scratch registers share SCRATCH_BYTES in whole 64-byte lines, at least
-    one line each; a root that needs no register, or a shorter vector,
-    runs in one strip."""
-    return _strip(root.registers, root.dtype, length)
+    """Elements in one block-executor strip of an assignment root: each
+    scratch register holds SCRATCH_BYTES, so 32768 f32 or 16384 f64
+    elements, whatever the register count; a root that needs no register,
+    or a shorter vector, runs in one strip."""
+    strip = SCRATCH_BYTES // root.dtype.itemsize
+    if root.registers and strip < length:
+        return strip
+    return length or 1
 
 
 def reduce_strip(root, block: int, length: int) -> int:
     """Elements in one block-executor strip of a reduction root over
-    `length` elements, `block` (U*W) per main-loop iteration: the rule of
-    assign_strip with the fold buffer as one more register. A vector that
-    needs more than one strip has it cut to whole iterations, at least
-    one; otherwise the one strip holds the whole vector, tail included."""
-    strip = _strip(root.registers + 1, root.dtype, length)
+    `length` elements, `block` (U*W) per main-loop iteration: one
+    register's strip, the fold buffer's, whatever the tree's register
+    count. A vector that needs more than one strip has it cut to whole
+    iterations, at least one; otherwise the one strip holds the whole
+    vector, tail included."""
+    strip = SCRATCH_BYTES // root.dtype.itemsize
     if strip < length:
         return max(strip - strip % block, block)
-    return strip
+    return length or 1
 
 
 def _run_block_assign(root):

@@ -35,6 +35,7 @@ _DTYPE_NAMES = {
     "f32": np.dtype(np.float32),
     "f64": np.dtype(np.float64),
 }
+_DTYPES = tuple(_DTYPE_NAMES.values())
 
 
 def as_dtype(dtype) -> np.dtype:
@@ -42,7 +43,7 @@ def as_dtype(dtype) -> np.dtype:
     if isinstance(dtype, str) and dtype in _DTYPE_NAMES:
         return _DTYPE_NAMES[dtype]
     dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
+    if dt not in _DTYPES:
         raise TypeError(f"unsupported element type {dtype!r}; use f32 or f64")
     return dt
 

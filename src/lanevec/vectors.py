@@ -32,19 +32,28 @@ def _reals(values) -> np.ndarray:
 class DenseVector(Leaf):
     """Fixed-length contiguous array of f32 or f64 scalars.
 
-    The length never changes after construction and the storage stays
-    aligned for every lane backend, so evaluation loops can use aligned
-    block access unconditionally. Zero-length vectors are legal and every
-    loop degenerates cleanly over them. The vector is the Leaf node of
-    every expression over it, and `assign` evaluates one into it. It is a
-    key in slot dicts, so it must not define __eq__ or __hash__.
+    The length never changes after construction. zeros and from_values
+    align the storage for every lane backend; the constructor wraps an
+    existing 1-D, C-contiguous array of the element type, such as a view
+    of another vector, and raises TypeError for any other element type
+    and ValueError for any other shape or layout. Zero-length vectors are
+    legal and every loop degenerates cleanly over them. The vector is the
+    Leaf node of every expression over it, and `assign` evaluates one
+    into it. It is a key in slot dicts, so it must not define __eq__ or
+    __hash__.
     """
 
     __slots__ = ("_data",)
 
-    def __init__(self, data: np.ndarray, dtype: np.dtype):
+    def __init__(self, data: np.ndarray, dtype):
+        dt = as_dtype(dtype)
+        if not isinstance(data, np.ndarray) or data.dtype != dt:
+            found = getattr(data, "dtype", type(data).__name__)
+            raise TypeError(f"storage must be a {dt} array, got {found}")
+        if data.ndim != 1 or not data.flags.c_contiguous:
+            raise ValueError("storage must be a 1-D, C-contiguous array")
         self._data = data
-        self.dtype = dtype
+        self.dtype = dt
         self.length = data.shape[0]
 
     vector = property(lambda self: self, doc="The vector itself (see Leaf).")

@@ -36,10 +36,14 @@ def test_flop_and_byte_accounting():
     assert flop_count("scal", n) == n
     assert flop_count("axpy", n) == 2 * n
     assert flop_count("scaled_copy", n) == n
+    assert flop_count("sum", n) == n
+    assert flop_count("norm2", n) == 2 * n
     assert bytes_moved("dot", n, "f32") == 2 * n * 4
     assert bytes_moved("scal", n, "f64") == 2 * n * 8
     assert bytes_moved("axpy", n, "f32") == 3 * n * 4
     assert bytes_moved("scaled_copy", n, "f64") == 2 * n * 8
+    assert bytes_moved("sum", n, "f32") == n * 4
+    assert bytes_moved("norm2", n, "f64") == n * 8
 
 
 @pytest.mark.parametrize("op", OPS)

@@ -8,6 +8,7 @@ import pytest
 from lanevec import engine
 from lanevec.engine import (
     DEFAULT_REGISTER_BUDGET,
+    SCRATCH_BYTES,
     PlanError,
     UnrollPlan,
     assign_strip,
@@ -35,6 +36,16 @@ def make_axpy(alpha, x, y):
 
 def make_dot(x, y):
     return SumNode(as_node(x) * as_node(y))
+
+
+def wide_trees(x, y, z, w):
+    """Sources that take 1, 2, 3 and 4 scratch registers when assigned:
+    x + 0.5*y, a product of two sums, t3 and spill."""
+    a, b = 0.5, -1.5
+    t3 = (x + y) * (z - a * w)
+    spill = ((x + y) * (z - w) + (x * z - y * w)) * ((y + z) * (w - x) - (a * x + b * w))
+    return {"x + 0.5*y": x + a * y, "(x+y)*(z-w)": (x + y) * (z - w), "t3": t3,
+            "spill": spill}
 
 
 # reductions over a pair of vectors: a product tree, and a bare leaf
@@ -538,6 +549,36 @@ def test_block_reduction_walks_its_tree_once_per_strip(dtype, monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_every_scratch_register_holds_scratch_bytes(dtype):
+    """A tree's strip is one register of SCRATCH_BYTES, whatever its
+    register count; a reduction's is that strip cut to whole iterations."""
+    strip = SCRATCH_BYTES // as_dtype(dtype).itemsize
+    v = DenseVector.zeros(1, dtype)
+    trees = wide_trees(v, v, v, v)
+    registers = [AssignNode(v, tree).registers for tree in trees.values()]
+    assert registers == [1, 2, 3, 4]
+    for name, tree in trees.items():
+        assert assign_strip(AssignNode(v, tree), 1 << 40) == strip, name
+    for root in (make_dot(v, v), SumNode(trees["t3"])):
+        block = select_plan(root.register_footprint, 0, default_backend(dtype)).block
+        assert reduce_strip(root, block, 1 << 40) == strip - strip % block
+
+    # two strips and a tail, through both executors
+    n = 2 * strip + 7
+    rng = np.random.default_rng([7, n])
+    x, y, z, w = (DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for _ in range(4))
+    trees = wide_trees(x, y, z, w)
+    for name in ("t3", "spill"):
+        d_block, d_step = DenseVector.zeros(n, dtype), DenseVector.zeros(n, dtype)
+        execute_assign(AssignNode(d_block, trees[name]))
+        execute_assign(AssignNode(d_step, trees[name]), stepped=True)
+        assert d_block.to_array().tobytes() == d_step.to_array().tobytes(), name
+        got = execute_reduce(SumNode(trees[name]))
+        want = execute_reduce(SumNode(trees[name]), stepped=True)
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
 def test_negative_zero_terms_sum_to_positive_zero(dtype, backend_of):
     """Every lane and the remainder start at +0 on both executors, so a
@@ -651,26 +692,26 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
         DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for _ in range(4)
     )
     out = DenseVector.zeros(n, dtype)
-    a, b = 0.5, -1.5
-    spill = ((x + y) * (z - w) + (x * z - y * w)) * (
-        (y + z) * (w - x) - (a * x + b * w)
-    )
+    trees = wide_trees(x, y, z, w)
+    t3, spill = trees["t3"], trees["spill"]
     # 17 registers: over the budget of 16, so the plan falls back to U1
     footprint = AssignNode(as_node(out), spill).register_footprint
     assert footprint == DEFAULT_REGISTER_BUDGET + 1
-    t3 = (x + y) * (z - a * w)
+    # each call, and the root it evaluates
     calls = {
-        "dot": lambda: dot(x, y),
-        "sum": lambda: vec_sum(x),
-        "axpy": lambda: axpy(0.25, x, y),
-        "scal": lambda: scal(1.0, out),
-        "scaled_copy": lambda: scaled_copy(0.25, x, out),
-        "t3 tree": lambda: out.assign(t3),
-        "spill tree": lambda: out.assign(spill),
+        "dot": (lambda: dot(x, y), make_dot(x, y)),
+        "sum": (lambda: vec_sum(x), SumNode(as_node(x))),
+        "axpy": (lambda: axpy(0.25, x, y), make_axpy(0.25, x, y)),
+        "scal": (lambda: scal(1.0, out), AssignNode(out, ScaleNode(1.0, out))),
+        "scaled_copy": (
+            lambda: scaled_copy(0.25, x, out),
+            AssignNode(out, ScaleNode(0.25, x)),
+        ),
+        "t3 tree": (lambda: out.assign(t3), AssignNode(out, t3)),
+        "spill tree": (lambda: out.assign(spill), AssignNode(out, spill)),
     }
-    limit = 256 * 1024
     operand = n * x.dtype.itemsize
-    for name, call in calls.items():
+    for name, (call, root) in calls.items():
         call()  # keep first-call costs out of the measurement
         tracemalloc.start()
         try:
@@ -678,7 +719,12 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= limit, f"{name}: peak {peak} B, operand {operand} B"
+        # one strip-length array per scratch register, one more for a
+        # reduction's fold buffer, and a few KiB of Python objects
+        limit = (root.registers + 1) * SCRATCH_BYTES + 4096
+        where = f"{name}: peak {peak} B, operand {operand} B"
+        assert peak <= limit, where
+        assert peak < operand // 4, where
         if name in ("scal", "scaled_copy"):
             # no scratch register: the multiply writes the destination,
             # so only a few Python objects are allocated

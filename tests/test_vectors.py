@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lanevec import dot
+from lanevec import sum as vec_sum
 from lanevec.expressions import AddNode, MulNode, ScaleNode, SubNode
 from lanevec.lanes import CONTAINER_ALIGNMENT
 from lanevec.oracle import CountingVector
@@ -141,6 +142,46 @@ def test_block_access_round_trip():
     window = v.write_window(6, 8)
     window[:] = [7.0, 8.0]
     assert v.to_values() == [5, 0, 1, 2, 3, 4, 7, 8]
+
+
+def test_constructor_normalizes_the_dtype_spelling():
+    v = DenseVector(np.arange(5.0), "f64")
+    assert v.dtype == np.dtype(np.float64)
+    for stepped in (False, True):
+        got = vec_sum(v, stepped=stepped)
+        assert got == 10.0 and type(got) is np.float64
+
+
+@pytest.mark.parametrize(
+    "data, dtype",
+    [
+        (np.arange(5.0), np.dtype("f4")),  # f64 storage labelled f32
+        (np.arange(5), "f64"),  # int64 storage labelled f64
+        ([1.0, 2.0], "f64"),  # not an array
+    ],
+)
+def test_constructor_refuses_storage_of_another_element_type(data, dtype):
+    with pytest.raises(TypeError, match="storage must be"):
+        DenseVector(data, dtype)
+
+
+def test_constructor_refuses_a_2d_array():
+    with pytest.raises(ValueError, match="1-D"):
+        DenseVector(np.zeros((2, 3)), "f64")
+
+
+def test_constructor_refuses_a_strided_view():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        DenseVector(np.arange(6.0)[::2], "f64")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_constructor_accepts_views_of_a_vector(dtype):
+    v = DenseVector.from_values(range(10), dtype)
+    window = DenseVector(v.read_block(3, 7), v.dtype)
+    assert window.to_values() == [3, 4, 5, 6]
+    counted = CountingVector(v)
+    assert vec_sum(counted) == 45 and counted.read_count == 10
 
 
 def test_operators_build_nodes_without_computing():
