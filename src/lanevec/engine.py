@@ -25,28 +25,24 @@ packages shape only its bursts and its trace, and it is the only one that
 calls single_op. The block executor is the default, because interpreter
 overhead, not arithmetic, dominates here. It runs in strips, one
 contiguous ufunc call per node per strip, each writing with out= into a
-strip-length array (see the block_op contract in expressions):
+strip-length array (see the block_op contract in expressions). Both
+roots take block_strip's length: each scratch register holds
+SCRATCH_BYTES, so every root that needs one runs strips set by the dtype
+alone, whatever U*W or its register count, and a root that needs none
+(scal, scaled_copy, a*(x + y), a sum over a bare leaf) runs one strip
+over the whole length. The tail is the end of the last strip:
 
 - an assignment's root writes each strip straight into the
-  destination. Each of its scratch registers holds SCRATCH_BYTES, so
-  every tree that needs one runs strips of the same length, set by the
-  dtype alone (whatever U*W or the register count is); a tree that
-  needs no register (scal, scaled_copy, a*(x + y)) runs as one call per
-  node over the whole length. The register rule delays every write to
-  the destination until the strip's leaves have been read, so a
-  destination that is also a source leaf stays safe. The tail is just
-  the end of the last strip, since every result is elementwise;
-- a sum over a bare leaf views the masked length as rows of U*W lanes,
-  one main-loop iteration per row, and one fold down the rows adds each
-  lane's elements in iteration order, with no strip and no copy. Any
-  other reduction runs in strips of one register's length, the length
-  of its fold buffer; a vector that fits one strip is one strip, and
-  longer ones take whole iterations per strip but the last.
-  A strip's terms are written into the rows of that buffer, whose first
-  row holds the slot accumulators, and the same fold adds them. Every
-  lane starts at +0. For both, the tail is the end of the last strip, as
-  for an assignment: the terms past its whole rows, fewer than a row,
-  are added in order, and no node is called again for them.
+  destination. The register rule delays every write to the destination
+  until the strip's leaves have been read, so a destination that is
+  also a source leaf stays safe;
+- a reduction views a strip's terms as rows of U*W lanes, one main-loop
+  iteration per row, and one fold adds each lane down the rows in
+  iteration order, from +0. The array its terms go into is one register,
+  unless they are a leaf's own view. One strip is folded where block_op
+  leaves it; several write theirs into a fold buffer, below a row that
+  holds the lanes so far. The tail's terms, fewer than a row, are added
+  in order, and no node is called again for them.
 
 A call builds only what its executor reads. The element count is the
 root's `length`, checked when the tree was built. With no plan, backend,
@@ -70,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AssignNode, Leaf, Scratch, SumNode, combine_partials
+from .expressions import AssignNode, Scratch, SumNode, combine_partials
 from .lanes import LaneBackend, default_backend, is_count
 
 __all__ = [
@@ -84,19 +80,20 @@ __all__ = [
     "UNROLL_FACTORS",
     "DEFAULT_REGISTER_BUDGET",
     "SCRATCH_BYTES",
-    "assign_strip",
-    "reduce_strip",
+    "block_strip",
 ]
 
 UNROLL_FACTORS = (1, 2, 4, 8)
 DEFAULT_REGISTER_BUDGET = 16
 # Bytes of one block-executor scratch register, and so the strip length
-# of every tree that needs one: 32768 f32 or 16384 f64 elements. A tree
-# of k registers keeps k of them; a reduction's fold buffer is one more.
+# of every root that needs one: 32768 f32 or 16384 f64 elements. A root
+# of k registers keeps k of them; a reduction's terms array is one.
 # Longer strips spread each node's per-strip call over more elements;
 # 256 KiB per register ran slower at cache-resident size on a 2-vCPU Xeon
 # with 2 MiB of L2 per core.
 SCRATCH_BYTES = 128 * 1024
+# The remainder of an empty tail; building it per call costs ~0.5 us.
+_ZERO = {np.dtype(t): np.dtype(t).type(0) for t in (np.float32, np.float64)}
 
 
 class PlanError(ValueError):
@@ -316,33 +313,21 @@ def _run_stepped(root, backend, plan, reduce_root, trace=None):
     return None
 
 
-def assign_strip(root, length: int) -> int:
-    """Elements in one block-executor strip of an assignment root: each
-    scratch register holds SCRATCH_BYTES, so 32768 f32 or 16384 f64
-    elements, whatever the register count; a root that needs no register,
-    or a shorter vector, runs in one strip."""
-    strip = SCRATCH_BYTES // root.dtype.itemsize
-    if root.registers and strip < length:
-        return strip
-    return length or 1
-
-
-def reduce_strip(root, block: int, length: int) -> int:
-    """Elements in one block-executor strip of a reduction root over
-    `length` elements, `block` (U*W) per main-loop iteration: one
-    register's strip, the fold buffer's, whatever the tree's register
-    count. A vector that needs more than one strip has it cut to whole
-    iterations, at least one; otherwise the one strip holds the whole
-    vector, tail included."""
-    strip = SCRATCH_BYTES // root.dtype.itemsize
-    if strip < length:
-        return max(strip - strip % block, block)
+def block_strip(root, length: int) -> int:
+    """Elements in one block-executor strip of a root over `length`
+    elements: one scratch register's, 32768 f32 or 16384 f64, whatever
+    its register count or U*W; a root that takes no register, or a
+    shorter vector, runs in one strip."""
+    if root.registers:
+        strip = SCRATCH_BYTES // root.dtype.itemsize
+        if strip < length:
+            return strip
     return length or 1
 
 
 def _run_block_assign(root):
     length = root.length
-    strip = assign_strip(root, length)
+    strip = block_strip(root, length)
     commit = root.block_commit
     scratch = Scratch()
     for lo in range(0, length, strip):
@@ -353,57 +338,62 @@ def _run_block_assign(root):
         commit(lo, hi, scratch)
 
 
+def _fold(rows):
+    """The lanes of `rows`, one per column, each added down them from +0."""
+    if rows.shape[1] > 1:
+        return np.add.reduce(rows, axis=0, initial=0)
+    # A (k, 1) array collapses to 1-D, where add.reduce sums pairwise, so
+    # the one lane is accumulated a strip at a time, each strip copied in
+    # behind the running total: a leaf's whole view makes no temporary
+    # longer than a strip.
+    lane = np.zeros(1, rows.dtype)
+    step = SCRATCH_BYTES // rows.itemsize
+    for lo in range(0, len(rows), step):
+        sums = np.concatenate((lane, rows[lo : lo + step, 0]))
+        lane = np.add.accumulate(sums, out=sums)[-1:]
+    return lane
+
+
 def _run_block_reduce(root, unroll, width):
+    # Lane j of slot s is column s*width + j of a strip's rows. One strip
+    # is folded where block_op leaves its terms; several write theirs
+    # below row 0 of a fold buffer, which holds the lanes so far. Only the
+    # last strip ends in a part row: its terms past n are the tail.
     length = root.length
+    if not length:
+        return _ZERO[root.dtype]  # every lane's +0, and no walk of the tree
     block = unroll * width
-    n = masked_length(length, unroll, width)
-    child = root.child
-    if isinstance(child, Leaf) and block > 1:
-        # Row r of the view holds main-loop iteration r, lane j of slot s
-        # at column s*width + j; the fold adds each column in row order.
-        # At U*W = 1 the view would collapse to 1-D, so it takes strips.
-        view = child.read_block(0, length)
-        lanes = np.add.reduce(view[:n].reshape(-1, block), axis=0, initial=0)
-        tail = view[n:]
-    else:
-        # Row 0 holds the slot-accumulator lanes; a strip's terms are
-        # written into the rows below it, one iteration per row, and the
-        # fold writes into `lanes`, not over its own input row 0. Only the
-        # last strip ends in a part row: its terms are the tail.
-        terms = child.block_op
+    n = length - length % block
+    strip = block_strip(root, length)
+    terms = root.child.block_op
+    scratch = None  # a leaf's view takes no register and needs no pool
+    if root.registers:
         scratch = Scratch()
         scratch.dest = None
-        strip = reduce_strip(root, block, length)
-        buf = np.zeros((-(-min(strip, length) // block) + 1, block), dtype=root.dtype)
+    if strip >= length:
+        lo = 0
+        values = terms(0, length, None, scratch)
+        lanes = _fold(values[:n].reshape(-1, block))
+    else:
+        buf = np.zeros((strip // block + 1, block), root.dtype)
         flat = buf.ravel()
-        lanes = buf[0].copy()
         for lo in range(0, length, strip):
             hi = lo + strip
             if hi > length:
                 hi = length
                 scratch.fit(hi - lo)
             rows = (hi - lo) // block
-            out = flat[block : block + hi - lo]
-            values = terms(lo, hi, out, scratch)
-            if values is not out:
-                out[...] = values  # a leaf's own storage is copied
-            tail = out[rows * block :]
-            if rows == 0:
-                break  # the last strip holds only tail terms
-            if block > 1:
-                np.add.reduce(buf[: rows + 1], axis=0, out=lanes)
-            else:
-                # a (rows, 1) buffer collapses to 1-D, where add.reduce
-                # sums pairwise; accumulate stays sequential
-                lanes = np.add.accumulate(buf[: rows + 1], axis=0)[-1]
-            buf[0] = lanes
+            values = terms(lo, hi, flat[block : block + hi - lo], scratch)
+            if rows:  # the last strip may hold only tail terms
+                lanes = buf[0] = _fold(buf[: rows + 1])
     # The tail's terms are added in order. The stepped executor adds them
     # to a remainder that starts at +0; starting at the first term instead
     # differs only in giving -0 for a tail of -0 terms, and that vanishes
     # when the remainder is added to the lane total, which is never -0.
-    remainder = root.dtype.type(0)
     if length > n:
-        remainder = np.add.accumulate(tail)[-1]
+        remainder = np.add.accumulate(values[n - lo :])[-1]
+    else:
+        remainder = _ZERO[root.dtype]
     return combine_partials(lanes.reshape(unroll, width), remainder)
 
 

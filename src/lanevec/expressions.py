@@ -67,7 +67,8 @@ not private is an assignment's destination strip, so nothing writes the
 destination before every leaf has been read. A node counts the
 registers it takes with a private out (`registers`) when it is built, as
 it does its lane register footprint; an assignment root counts them with
-the destination as out.
+the destination as out, and a reduction root one more, the array its
+child's terms go into, unless they are a leaf's own view.
 
 Every node that holds a lane register keeps it in the slot's dict under
 itself, by identity, so nodes, vectors included, must not define __eq__
@@ -518,15 +519,24 @@ class SumNode(_Root):
     on both executors, so a sum whose terms are all -0 is +0.
 
     The contract calls here are the stepped executor's; the block executor
-    keeps the accumulators itself. Over a bare leaf it folds the leaf's
-    masked length, viewed as rows of U*W lanes, in one call; any other
-    child's `block_op` writes the summands of each strip into the rows of
-    its fold buffer (private scratch). Either way the tail is the end of
-    the last strip, the elements or summands past its whole rows, and is
-    added in order without another call down the tree.
+    keeps the accumulators itself, and folds each strip's terms, as rows
+    of U*W lanes, in the array the child's `block_op` writes them to. That
+    array is one of the root's `registers`, unless the child is a leaf,
+    whose terms are its own view. The tail is the end of the last strip,
+    the terms past its whole rows, added in order without another call
+    down the tree.
     """
 
     __slots__ = ()
+
+    def __init__(self, child: Expression):
+        # _UnaryNode's, inlined, since a reduction is built on every call
+        self.child = child = as_node(child)
+        self.dtype = child.dtype
+        self.length = child.length
+        self.register_footprint = 1 + child.register_footprint
+        # the array the child's terms go into, unless it is a leaf's view
+        self.registers = child.registers + (not isinstance(child, Leaf))
 
     def init(self, ts):
         ts[self] = self.dtype.type(0)

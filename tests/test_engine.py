@@ -9,18 +9,24 @@ from lanevec import engine
 from lanevec.engine import (
     DEFAULT_REGISTER_BUDGET,
     SCRATCH_BYTES,
+    UNROLL_FACTORS,
     PlanError,
     UnrollPlan,
-    assign_strip,
+    block_strip,
     call_trace,
     execute_assign,
     execute_reduce,
     masked_length,
-    reduce_strip,
     select_plan,
 )
-from lanevec.expressions import AssignNode, MulNode, ScaleNode, SumNode, as_node
-from lanevec.lanes import as_dtype, default_backend, scalar_backend, wide_backend
+from lanevec.expressions import AssignNode, Leaf, MulNode, ScaleNode, SumNode, as_node
+from lanevec.lanes import (
+    CONTAINER_ALIGNMENT,
+    as_dtype,
+    default_backend,
+    scalar_backend,
+    wide_backend,
+)
 from lanevec.ops import axpy, dot, scal, scaled_copy
 from lanevec.ops import sum as vec_sum
 from lanevec.oracle import oracle_axpy, oracle_dot
@@ -56,7 +62,7 @@ def assign_strip_of(source, dtype="f32"):
     """Elements in one block-executor strip of `d.assign(source)` on long
     vectors, for a source that takes scratch registers."""
     root = AssignNode(as_node(DenseVector.zeros(1, dtype)), source)
-    strip = assign_strip(root, 1 << 40)
+    strip = block_strip(root, 1 << 40)
     assert root.registers > 0 and strip < 1 << 40
     return strip
 
@@ -490,7 +496,7 @@ def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
     backend = backend_of(dtype)
     block = unroll * backend.width
     v = DenseVector.zeros(1, dtype)
-    strips = {axpy_strip(dtype), reduce_strip(make_dot(v, v), block, 1 << 40)}
+    strips = {axpy_strip(dtype), block_strip(make_dot(v, v), 1 << 40)}
 
     # Around an assignment strip and a reduction strip, and past two of
     # them plus a tail (a third strip at U*W = 1). The block executor
@@ -525,43 +531,59 @@ def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
 def test_block_reduction_walks_its_tree_once_per_strip(dtype, monkeypatch):
     """A reduction's tail is the end of its last strip: a dot that fits one
     strip calls its product node once, tail included, a longer one once per
-    strip, and a zero-length one never."""
+    strip, and a zero-length one never. A sum over a bare leaf, which takes
+    no register, is one strip at any length."""
     v = DenseVector.zeros(1, dtype)
-    root = make_dot(v, v)
-    block = select_plan(root.register_footprint, 0, default_backend(dtype)).block
-    s = reduce_strip(root, block, 1 << 40)
+    s = block_strip(make_dot(v, v), 1 << 40)
     calls = []
-    block_op = MulNode.block_op
 
-    def spy(self, lo, hi, out, scratch):
-        calls.append((lo, hi))
-        return block_op(self, lo, hi, out, scratch)
+    def spy_on(cls):
+        block_op = cls.block_op
 
-    for n, walks in ((100, [(0, 100)]), (0, []), (s + 5, [(0, s), (s, s + 5)])):
+        def spy(self, lo, hi, out, scratch):
+            calls.append((lo, hi))
+            return block_op(self, lo, hi, out, scratch)
+
+        return spy
+
+    cases = [
+        (dot, MulNode, 100, [(0, 100)]),
+        (dot, MulNode, 0, []),
+        (dot, MulNode, s + 5, [(0, s), (s, s + 5)]),
+        (lambda x, y, **o: vec_sum(x, **o), Leaf, 2 * s + 5, [(0, 2 * s + 5)]),
+    ]
+    for reduce, node, n, walks in cases:
         x, y = fresh_pair(n, dtype, seed=n)
-        want = dot(x, y, stepped=True)
+        want = reduce(x, y, stepped=True)
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(MulNode, "block_op", spy)
-            got = dot(x, y)
+            m.setattr(node, "block_op", spy_on(node))
+            got = reduce(x, y)
         assert calls == walks, n
         assert got.tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_every_scratch_register_holds_scratch_bytes(dtype):
-    """A tree's strip is one register of SCRATCH_BYTES, whatever its
-    register count; a reduction's is that strip cut to whole iterations."""
-    strip = SCRATCH_BYTES // as_dtype(dtype).itemsize
+    """A root's strip is one register of SCRATCH_BYTES, whatever its
+    register count or U*W; a reduction counts the array its terms go into
+    as a register, unless they are a leaf's own view."""
+    itemsize = as_dtype(dtype).itemsize
+    strip = SCRATCH_BYTES // itemsize
+    # whole iterations of the widest plan, so no strip ends in a part row
+    assert strip % (max(UNROLL_FACTORS) * CONTAINER_ALIGNMENT // itemsize) == 0
     v = DenseVector.zeros(1, dtype)
     trees = wide_trees(v, v, v, v)
     registers = [AssignNode(v, tree).registers for tree in trees.values()]
     assert registers == [1, 2, 3, 4]
     for name, tree in trees.items():
-        assert assign_strip(AssignNode(v, tree), 1 << 40) == strip, name
-    for root in (make_dot(v, v), SumNode(trees["t3"])):
-        block = select_plan(root.register_footprint, 0, default_backend(dtype)).block
-        assert reduce_strip(root, block, 1 << 40) == strip - strip % block
+        assert block_strip(AssignNode(v, tree), 1 << 40) == strip, name
+    sums = {"sum": SumNode(v), "dot": make_dot(v, v), "t3": SumNode(trees["t3"]),
+            "spill": SumNode(trees["spill"])}
+    assert [root.registers for root in sums.values()] == [0, 1, 3, 4]
+    assert block_strip(sums.pop("sum"), 1 << 40) == 1 << 40
+    for name, root in sums.items():
+        assert block_strip(root, 1 << 40) == strip, name
 
     # two strips and a tail, through both executors
     n = 2 * strip + 7
@@ -710,6 +732,11 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
         "t3 tree": (lambda: out.assign(t3), AssignNode(out, t3)),
         "spill tree": (lambda: out.assign(spill), AssignNode(out, spill)),
     }
+    # At U*W = 1 the fold accumulates its one lane a strip at a time,
+    # through strip-length temporaries that no register counts: no root.
+    scalar = scalar_backend(dtype)
+    calls["scalar sum"] = (lambda: vec_sum(x, backend=scalar), None)
+    calls["scalar dot"] = (lambda: dot(x, y, backend=scalar), None)
     operand = n * x.dtype.itemsize
     for name, (call, root) in calls.items():
         call()  # keep first-call costs out of the measurement
@@ -719,12 +746,12 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one strip-length array per scratch register, one more for a
-        # reduction's fold buffer, and a few KiB of Python objects
-        limit = (root.registers + 1) * SCRATCH_BYTES + 4096
         where = f"{name}: peak {peak} B, operand {operand} B"
-        assert peak <= limit, where
         assert peak < operand // 4, where
+        if root is not None:
+            # one strip-length array per scratch register, a reduction's
+            # terms array included, and a few KiB of Python objects
+            assert peak <= root.registers * SCRATCH_BYTES + 4096, where
         if name in ("scal", "scaled_copy"):
             # no scratch register: the multiply writes the destination,
             # so only a few Python objects are allocated

@@ -22,13 +22,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lanevec.engine import (  # noqa: E402
-    assign_strip,
-    execute_reduce,
-    masked_length,
-    reduce_strip,
-)
-from lanevec.expressions import AssignNode, Scratch, SumNode, as_node  # noqa: E402
+from lanevec.engine import block_strip, execute_reduce, masked_length  # noqa: E402
+from lanevec.expressions import AssignNode, Leaf, Scratch, SumNode, as_node  # noqa: E402
 from lanevec.lanes import as_dtype, scalar_backend, wide_backend  # noqa: E402
 from lanevec.vectors import DenseVector  # noqa: E402
 
@@ -36,7 +31,7 @@ LEAVES = ("d", "x", "y", "z")  # "d" is the destination
 ALPHAS = (-1.5, -1.0, 0.5, 3.0)
 UNROLLS = (1, 2, 4, 8)
 BACKENDS = (scalar_backend, wide_backend)
-# A tree that needs no register runs in one strip at any length; it is
+# A root that needs no register runs in one strip at any length; it is
 # run at twice this length plus the tail.
 REGISTER_FREE_STRIP = 2048
 
@@ -112,13 +107,17 @@ def documented_sum(terms, unroll, width):
 
 def registers_taken(root, n):
     """Scratch registers one block strip of n elements makes: all are back
-    in the pool when it ends."""
+    in the pool when it ends, with a reduction's terms array, which a
+    non-leaf child is handed and a leaf's view stands in for."""
     scratch = Scratch()
     if isinstance(root, AssignNode):
         root.block_commit(0, n, scratch)
     else:
         scratch.dest = None
-        root.child.block_op(0, n, np.empty(n, root.dtype), scratch)
+        terms = None if isinstance(root.child, Leaf) else np.empty(n, root.dtype)
+        root.child.block_op(0, n, terms, scratch)
+        if terms is not None:
+            scratch.append(terms)
     return len(scratch)
 
 
@@ -159,10 +158,10 @@ def test_random_trees_match_numpy(tree, dtype, tail, short):
     probe = {k: DenseVector.zeros(1, dtype) for k in LEAVES}
     root = AssignNode(as_node(probe["d"]), build(tree, probe))
     reduction = SumNode(build(tree, probe))
-    strip = assign_strip(root, 1 << 40) if root.registers else REGISTER_FREE_STRIP
-    # two assignment strips and two reduction strips, plus a tail; cut to
-    # no whole iteration, the strip at U*W = 1 is the longest
-    long = 2 * max(strip, reduce_strip(reduction, 1, 1 << 40)) + tail
+    strip = block_strip(root, 1 << 40) if root.registers else REGISTER_FREE_STRIP
+    long_strip = block_strip(reduction, 1 << 40) if reduction.registers else REGISTER_FREE_STRIP
+    # two assignment strips and two reduction strips, plus a tail
+    long = 2 * max(strip, long_strip) + tail
     rng = np.random.default_rng([short, tail])
     # the counts made when the nodes were built are the registers used
     assert registers_taken(root, 1) == root.registers
