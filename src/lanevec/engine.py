@@ -42,7 +42,9 @@ over the whole length. The tail is the end of the last strip:
   unless they are a leaf's own view. One strip is folded where block_op
   leaves it; several write theirs into a fold buffer, below a row that
   holds the lanes so far. The tail's terms, fewer than a row, are added
-  in order, and no node is called again for them.
+  in order and then to +0, which is the stepped remainder bit for bit,
+  and no node is called again for them. A vector shorter than a row
+  folds nothing: every lane is +0, so that remainder is its value.
 
 A call builds only what its executor reads. The element count is the
 root's `length`, checked when the tree was built. With no plan, backend,
@@ -53,11 +55,11 @@ default backend. Any of those overrides, stepped=True and call_trace
 pass through _resolve, which checks the plan against the tree and the
 backend before anything runs.
 
-Neither executor makes a temporary longer than one strip, and the block
-executor's scratch registers are made once per evaluation. Both commit
-elements in the same order and accumulate every lane and the remainder in
-the same order, so their results are bit identical; the test suite pins
-that equivalence.
+Neither executor makes a temporary longer than one strip. The block
+executor's scratch registers are made once per evaluation, and short ones
+for a short last strip. Both commit elements in the same order and
+accumulate every lane and the remainder in the same order, so their
+results are bit identical; the test suite pins that equivalence.
 """
 
 import functools
@@ -334,7 +336,7 @@ def _run_block_assign(root):
         hi = lo + strip
         if hi > length:
             hi = length
-            scratch.fit(hi - lo)
+            scratch.clear()  # the ufuncs make the short registers
         commit(lo, hi, scratch)
 
 
@@ -360,8 +362,9 @@ def _run_block_reduce(root, unroll, width):
     # below row 0 of a fold buffer, which holds the lanes so far. Only the
     # last strip ends in a part row: its terms past n are the tail.
     length = root.length
+    zero = _ZERO[root.dtype]
     if not length:
-        return _ZERO[root.dtype]  # every lane's +0, and no walk of the tree
+        return zero  # every lane's +0, and no walk of the tree
     block = unroll * width
     n = length - length % block
     strip = block_strip(root, length)
@@ -373,6 +376,8 @@ def _run_block_reduce(root, unroll, width):
     if strip >= length:
         lo = 0
         values = terms(0, length, None, scratch)
+        if not n:  # no row, so every lane is +0: the remainder is the sum
+            return zero + np.add.accumulate(values)[-1]
         lanes = _fold(values[:n].reshape(-1, block))
     else:
         buf = np.zeros((strip // block + 1, block), root.dtype)
@@ -381,19 +386,16 @@ def _run_block_reduce(root, unroll, width):
             hi = lo + strip
             if hi > length:
                 hi = length
-                scratch.fit(hi - lo)
+                scratch.clear()
             rows = (hi - lo) // block
             values = terms(lo, hi, flat[block : block + hi - lo], scratch)
             if rows:  # the last strip may hold only tail terms
                 lanes = buf[0] = _fold(buf[: rows + 1])
-    # The tail's terms are added in order. The stepped executor adds them
-    # to a remainder that starts at +0; starting at the first term instead
-    # differs only in giving -0 for a tail of -0 terms, and that vanishes
-    # when the remainder is added to the lane total, which is never -0.
+    # The tail's terms are added in order, then to +0: the stepped
+    # remainder, which starts at +0, bit for bit, -0 terms included.
+    remainder = zero
     if length > n:
-        remainder = np.add.accumulate(values[n - lo :])[-1]
-    else:
-        remainder = _ZERO[root.dtype]
+        remainder = zero + np.add.accumulate(values[n - lo :])[-1]
     return combine_partials(lanes.reshape(unroll, width), remainder)
 
 

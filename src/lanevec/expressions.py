@@ -123,17 +123,12 @@ class Scratch(list):
     """Registers of one block evaluation: the list holds the strip arrays
     not in use. A node pops one, or passes None so that its child's ufunc
     makes it on first use, and appends it back when done, so each is
-    reused on every later strip. `dest` is the destination strip an
-    assignment is writing, the one out that is not private; None in a
-    reduction."""
+    reused on every later strip; the executor clears the list before a
+    short last strip, whose ufuncs then make short registers. `dest` is
+    the destination strip an assignment is writing, the one out that is
+    not private; None in a reduction."""
 
     __slots__ = ("dest",)
-
-    def fit(self, n):
-        """Cut the registers to a shorter strip of n elements; strips never
-        grow within an evaluation."""
-        if self:
-            self[:] = [reg[:n] for reg in self]
 
 
 def as_node(obj) -> "Expression":
@@ -463,12 +458,13 @@ class AssignNode(_Root):
 
     The destination is never read, only written, so an out-of-place scaled
     copy really moves n reads plus n writes and nothing more. The
-    destination may be the same vector as a source leaf (in-place scaling);
-    overlap at a shifted offset is unsupported and unchecked. The own lane
-    holds the computed result between the operation burst and the store
-    burst. In the block executor the source writes each strip straight
-    into the destination's writable window; the register rule keeps that
-    write after every read of the strip.
+    destination may be the same vector as a source leaf (in-place scaling).
+    Overlap at a shifted offset is unchecked, and its result depends on the
+    executor and the strip. The own lane holds the computed result between
+    the operation burst and the store burst. In the block executor the
+    source writes each strip straight into the destination's writable
+    window; the register rule keeps that write after every read of the
+    strip.
     """
 
     __slots__ = ("dest",)

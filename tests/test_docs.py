@@ -3,7 +3,10 @@
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from lanevec import bench
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +18,18 @@ def test_readme_quick_tour_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
     assert out.getvalue().splitlines() == ["[12. 24. 36. 48.]", "300.0"]
+
+
+def test_readme_bench_command_runs(tmp_path):
+    text = README.read_text()
+    commands = re.findall(r"^lanevec-bench (.*)$", text, re.M)
+    assert len(commands) == 1
+    argv = shlex.split(commands[0])
+    csv = tmp_path / "bench.csv"
+    argv[argv.index("--csv") + 1] = str(csv)
+    assert bench.main(argv) == 0
+    header = re.search(r"CSV with the header\n\n```\n(.*)\n```", text).group(1)
+    lines = csv.read_text().splitlines()
+    assert lines[0] == header
+    # one row per variant at the one size the command names
+    assert [line.split(",")[:2] for line in lines[1:]] == [["dot", "engine"], ["dot", "naive"]]

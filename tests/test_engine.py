@@ -666,6 +666,102 @@ def test_array_tail_matches_single_op_tail(dtype, backend_of):
                 assert got == want, where
 
 
+# Reductions the tail rule must hold for: a product, a bare leaf and a
+# fused tree of three registers.
+TAIL_ROOTS = {
+    "dot": lambda x, y, z, w: make_dot(x, y),
+    "sum": lambda x, y, z, w: SumNode(as_node(x)),
+    "sum(t3)": lambda x, y, z, w: SumNode(wide_trees(x, y, z, w)["t3"]),
+}
+
+
+def tail_vectors(n, dtype, case):
+    """x, y, z, w over n elements: uniform values; or terms all -0.0 for
+    every root in TAIL_ROOTS; or uniform values with a NaN, +inf and -inf
+    in x."""
+    rng = np.random.default_rng([n, 5])
+    columns = rng.uniform(-1, 1, (4, n))
+    if case == "-0.0":
+        # x*y, x and (x + y)*(z - 0.5*w) are all -0.0
+        columns = np.array([[-0.0], [1.0], [-0.0], [0.0]]).repeat(n, axis=1)
+    elif case == "nan/inf" and n:
+        for i, v in zip((n // 4, n // 2, 3 * n // 4), (np.nan, np.inf, -np.inf)):
+            columns[0, i] = v
+    return [DenseVector.from_values(c, dtype) for c in columns]
+
+
+def row_of(make, dtype, opts):
+    """U*W of the plan a reduction built by `make` runs with `opts`."""
+    root = make(*tail_vectors(0, dtype, "uniform"))
+    backend = opts.get("backend", default_backend(dtype))
+    return select_plan(root.register_footprint, 0, backend, unroll=opts.get("unroll")).block
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_block_and_stepped_agree_at_every_short_length(dtype):
+    """The block executor adds the tail's terms in order, then to +0, and
+    a reduction shorter than U*W returns that alone. That equals the
+    stepped remainder, which starts at +0, bit for bit at every length
+    up to two rows and two terms past them, -0, NaN and inf included."""
+    configs = [{}] + [dict(backend=scalar_backend(dtype), unroll=u) for u in (1, 2, 8)]
+    for name, make in TAIL_ROOTS.items():
+        for opts in configs:
+            block = row_of(make, dtype, opts)
+            for n in range(2 * block + 2):
+                for case in ("uniform", "-0.0", "nan/inf"):
+                    vectors = tail_vectors(n, dtype, case)
+                    got = execute_reduce(make(*vectors), **opts)
+                    want = execute_reduce(make(*vectors), stepped=True, **opts)
+                    where = (name, block, n, case)
+                    assert got.tobytes() == want.tobytes(), where
+                    assert type(got) is type(want) is as_dtype(dtype).type, where
+                    if case == "-0.0":
+                        assert got == 0 and not np.signbit(got), where
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a reduction shorter than U*W folded its lanes")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_reduction_shorter_than_a_row_folds_nothing(dtype, monkeypatch):
+    """At 0 < n < U*W there is no row, so the block executor returns the
+    tail's remainder without a fold or combine_partials; at n = U*W it
+    calls both."""
+    calls = []
+
+    def spy(f):
+        def counted(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return counted
+
+    configs = [{}, dict(backend=scalar_backend(dtype), unroll=8)]
+    for name, make in TAIL_ROOTS.items():
+        for opts in configs:
+            block = row_of(make, dtype, opts)
+            for n in (1, block - 1):
+                vectors = tail_vectors(n, dtype, "uniform")
+                want = execute_reduce(make(*vectors), stepped=True, **opts)
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "_fold", _never_called)
+                    m.setattr(engine, "combine_partials", _never_called)
+                    got = execute_reduce(make(*vectors), **opts)
+                assert got.tobytes() == want.tobytes(), (name, block, n)
+
+            vectors = tail_vectors(block, dtype, "uniform")
+            want = execute_reduce(make(*vectors), stepped=True, **opts)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_fold", spy(engine._fold))
+                m.setattr(engine, "combine_partials", spy(engine.combine_partials))
+                got = execute_reduce(make(*vectors), **opts)
+            assert calls == ["_fold", "combine_partials"], (name, block)
+            assert got.tobytes() == want.tobytes(), (name, block)
+
+
 @pytest.mark.parametrize("stepped", [False, True])
 def test_one_tree_evaluated_from_four_threads(stepped):
     n = 2 * axpy_strip("f32") + 7
@@ -708,54 +804,65 @@ def test_one_tree_evaluated_from_four_threads(stepped):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_block_executor_makes_no_full_length_temporary(dtype):
-    n = 1 << 20
-    rng = np.random.default_rng(11)
-    x, y, z, w = (
-        DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for _ in range(4)
-    )
-    out = DenseVector.zeros(n, dtype)
-    trees = wide_trees(x, y, z, w)
-    t3, spill = trees["t3"], trees["spill"]
-    # 17 registers: over the budget of 16, so the plan falls back to U1
-    footprint = AssignNode(as_node(out), spill).register_footprint
-    assert footprint == DEFAULT_REGISTER_BUDGET + 1
-    # each call, and the root it evaluates
-    calls = {
-        "dot": (lambda: dot(x, y), make_dot(x, y)),
-        "sum": (lambda: vec_sum(x), SumNode(as_node(x))),
-        "axpy": (lambda: axpy(0.25, x, y), make_axpy(0.25, x, y)),
-        "scal": (lambda: scal(1.0, out), AssignNode(out, ScaleNode(1.0, out))),
-        "scaled_copy": (
-            lambda: scaled_copy(0.25, x, out),
-            AssignNode(out, ScaleNode(0.25, x)),
-        ),
-        "t3 tree": (lambda: out.assign(t3), AssignNode(out, t3)),
-        "spill tree": (lambda: out.assign(spill), AssignNode(out, spill)),
-    }
-    # At U*W = 1 the fold accumulates its one lane a strip at a time,
-    # through strip-length temporaries that no register counts: no root.
-    scalar = scalar_backend(dtype)
-    calls["scalar sum"] = (lambda: vec_sum(x, backend=scalar), None)
-    calls["scalar dot"] = (lambda: dot(x, y, backend=scalar), None)
-    operand = n * x.dtype.itemsize
-    for name, (call, root) in calls.items():
-        call()  # keep first-call costs out of the measurement
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        where = f"{name}: peak {peak} B, operand {operand} B"
-        assert peak < operand // 4, where
-        if root is not None:
-            # one strip-length array per scratch register, a reduction's
-            # terms array included, and a few KiB of Python objects
-            assert peak <= root.registers * SCRATCH_BYTES + 4096, where
-        if name in ("scal", "scaled_copy"):
-            # no scratch register: the multiply writes the destination,
-            # so only a few Python objects are allocated
-            assert peak <= 4096, f"{name}: peak {peak} B"
+    strip = SCRATCH_BYTES // as_dtype(dtype).itemsize
+    # Many whole strips; then two and a short last one, before which the
+    # pool is cleared, so that its ufuncs make short registers: a pool
+    # still holding its registers then, or a register grown again to a
+    # whole strip, breaks the register bound.
+    for n in (1 << 20, 2 * strip + 7):
+        rng = np.random.default_rng(11)
+        x, y, z, w = (
+            DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for _ in range(4)
+        )
+        out = DenseVector.zeros(n, dtype)
+        trees = wide_trees(x, y, z, w)
+        t3, spill = trees["t3"], trees["spill"]
+        # 17 registers: over the budget of 16, so the plan falls back to U1
+        footprint = AssignNode(as_node(out), spill).register_footprint
+        assert footprint == DEFAULT_REGISTER_BUDGET + 1
+        # each call, and the root it evaluates
+        calls = {
+            "dot": (lambda: dot(x, y), make_dot(x, y)),
+            "sum": (lambda: vec_sum(x), SumNode(as_node(x))),
+            "t3 sum": (lambda: execute_reduce(SumNode(t3)), SumNode(t3)),
+            "axpy": (lambda: axpy(0.25, x, y), make_axpy(0.25, x, y)),
+            "scal": (lambda: scal(1.0, out), AssignNode(out, ScaleNode(1.0, out))),
+            "scaled_copy": (
+                lambda: scaled_copy(0.25, x, out),
+                AssignNode(out, ScaleNode(0.25, x)),
+            ),
+            "t3 tree": (lambda: out.assign(t3), AssignNode(out, t3)),
+            "spill tree": (lambda: out.assign(spill), AssignNode(out, spill)),
+        }
+        # At U*W = 1 the fold accumulates its one lane a strip at a time,
+        # through strip-length temporaries that no register counts: no root.
+        scalar = scalar_backend(dtype)
+        calls["scalar sum"] = (lambda: vec_sum(x, backend=scalar), None)
+        calls["scalar dot"] = (lambda: dot(x, y, backend=scalar), None)
+        operand = n * x.dtype.itemsize
+        # a strip is under a quarter of the operand only past four strips
+        many = n > 4 * strip
+        for name, (call, root) in calls.items():
+            if root is None and not many:
+                continue
+            call()  # keep first-call costs out of the measurement
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            where = f"{name}: n {n}, peak {peak} B, operand {operand} B"
+            if many:
+                assert peak < operand // 4, where
+            if root is not None:
+                # one strip-length array per scratch register, a reduction's
+                # terms array included, and a few KiB of Python objects
+                assert peak <= root.registers * SCRATCH_BYTES + 4096, where
+            if name in ("scal", "scaled_copy"):
+                # no scratch register: the multiply writes the destination,
+                # so only a few Python objects are allocated
+                assert peak <= 4096, where
 
 
 def test_packages_do_not_change_results():
