@@ -32,18 +32,21 @@ alone, whatever U*W or its register count, and a root that needs none
 (scal, scaled_copy, a*(x + y), a sum over a bare leaf) runs one strip
 over the whole length. The tail is the end of the last strip:
 
-- an assignment's root writes each strip straight into the
-  destination. The register rule delays every write to the destination
-  until the strip's leaves have been read, so a destination that is
-  also a source leaf stays safe;
+- an assignment's source writes each strip straight into the
+  destination's window, which the executor hands it as out; a bare leaf
+  source is copied there. The register rule delays every write to the
+  destination until the strip's leaves have been read, so a destination
+  that is also a source leaf stays safe;
 - a reduction views a strip's terms as rows of U*W lanes, one main-loop
   iteration per row, and one fold adds each lane down the rows in
   iteration order, from +0. The array its terms go into is one register,
-  unless they are a leaf's own view. One strip is folded where block_op
-  leaves it; several write theirs into a fold buffer, below a row that
-  holds the lanes so far. The tail's terms, fewer than a row, are added
-  in order and then to +0, which is the stepped remainder bit for bit,
-  and no node is called again for them. A vector shorter than a row
+  reused on every strip, unless they are a leaf's own view, which is one
+  strip. Every strip is folded where its terms lie; from the second on,
+  the lanes so far are first added into the strip's first row, so each
+  lane is carried down the rows in iteration order, as one fold over the
+  whole length would carry it. The tail's terms, fewer than a row, are
+  added in order and then to +0, which is the stepped remainder bit for
+  bit, and no node is called again for them. A vector shorter than a row
   folds nothing: every lane is +0, so that remainder is its value.
 
 A call builds only what its executor reads. The element count is the
@@ -259,7 +262,7 @@ def _overridden(plan, backend, unroll, packages) -> bool:
     return not (plan is None and backend is None and unroll is None and packages is None)
 
 
-def _run_stepped(root, backend, plan, reduce_root, trace=None):
+def _run_stepped(root, backend, plan, trace=None):
     length = root.length
     width = plan.width
     span = plan.slots_per_package
@@ -308,7 +311,7 @@ def _run_stepped(root, backend, plan, reduce_root, trace=None):
         rec(TraceEvent("cleanup", None, None))
     root.cleanup()
 
-    if reduce_root:
+    if isinstance(root, SumNode):
         if rec:
             rec(TraceEvent("reduction", None, None))
         return root.reduction(slots, ts)
@@ -330,14 +333,16 @@ def block_strip(root, length: int) -> int:
 def _run_block_assign(root):
     length = root.length
     strip = block_strip(root, length)
-    commit = root.block_commit
     scratch = Scratch()
     for lo in range(0, length, strip):
         hi = lo + strip
         if hi > length:
             hi = length
             scratch.clear()  # the ufuncs make the short registers
-        commit(lo, hi, scratch)
+        out = scratch.dest = root.dest.write_window(lo, hi)
+        values = root.child.block_op(lo, hi, out, scratch)
+        if values is not out:
+            out[...] = values  # a bare leaf source is copied
 
 
 def _fold(rows):
@@ -357,40 +362,41 @@ def _fold(rows):
 
 
 def _run_block_reduce(root, unroll, width):
-    # Lane j of slot s is column s*width + j of a strip's rows. One strip
-    # is folded where block_op leaves its terms; several write theirs
-    # below row 0 of a fold buffer, which holds the lanes so far. Only the
-    # last strip ends in a part row: its terms past n are the tail.
+    # Lane j of slot s is column s*width + j of a strip's rows. Every strip
+    # is folded where its terms lie: in a leaf's view, which is one strip,
+    # or in the root's one register, the array the child's ufunc makes on
+    # the first strip, passed back as out on the later ones and viewed
+    # short on a short last strip. From the second strip on, the lanes so
+    # far are first added into the strip's first row, so that row is never
+    # a leaf's. Only the last strip ends in a part row: its terms past n
+    # are the tail.
     length = root.length
     zero = _ZERO[root.dtype]
     if not length:
         return zero  # every lane's +0, and no walk of the tree
     block = unroll * width
     n = length - length % block
-    strip = block_strip(root, length)
     terms = root.child.block_op
     scratch = None  # a leaf's view takes no register and needs no pool
     if root.registers:
         scratch = Scratch()
         scratch.dest = None
-    if strip >= length:
-        lo = 0
-        values = terms(0, length, None, scratch)
-        if not n:  # no row, so every lane is +0: the remainder is the sum
-            return zero + np.add.accumulate(values)[-1]
-        lanes = _fold(values[:n].reshape(-1, block))
-    else:
-        buf = np.zeros((strip // block + 1, block), root.dtype)
-        flat = buf.ravel()
-        for lo in range(0, length, strip):
-            hi = lo + strip
-            if hi > length:
-                hi = length
-                scratch.clear()
-            rows = (hi - lo) // block
-            values = terms(lo, hi, flat[block : block + hi - lo], scratch)
-            if rows:  # the last strip may hold only tail terms
-                lanes = buf[0] = _fold(buf[: rows + 1])
+    if not n:  # no row, so every lane is +0: the remainder is the sum
+        return zero + np.add.accumulate(terms(0, length, None, scratch))[-1]
+    strip = block_strip(root, length)
+    values = lanes = None
+    for lo in range(0, length, strip):
+        hi = lo + strip
+        if hi > length:
+            hi = length
+            scratch.clear()
+            values = values[: hi - lo]
+        values = terms(lo, hi, values, scratch)
+        rows = values[: n - lo].reshape(-1, block)
+        if len(rows):  # the last strip may hold only tail terms
+            if lanes is not None:
+                np.add(lanes, rows[0], out=rows[0])
+            lanes = _fold(rows)
     # The tail's terms are added in order, then to +0: the stepped
     # remainder, which starts at +0, bit for bit, -0 terms included.
     remainder = zero
@@ -415,7 +421,7 @@ def execute_assign(
         # the block executor reads neither; they are checked all the same
         backend, plan = _resolve(root, plan, backend, unroll, packages)
         if stepped:
-            return _run_stepped(root, backend, plan, reduce_root=False)
+            return _run_stepped(root, backend, plan)
     _run_block_assign(root)
 
 
@@ -434,7 +440,7 @@ def execute_reduce(
     if stepped or _overridden(plan, backend, unroll, packages):
         backend, plan = _resolve(root, plan, backend, unroll, packages)
         if stepped:
-            return _run_stepped(root, backend, plan, reduce_root=True)
+            return _run_stepped(root, backend, plan)
         return _run_block_reduce(root, plan.unroll, plan.width)
     # the default plan's U and W, without building it
     backend = default_backend(root.dtype)
@@ -462,5 +468,5 @@ def call_trace(
         raise TypeError("call_trace requires an assignment or reduction root")
     backend, plan = _resolve(root, plan, backend, unroll, packages)
     trace = []
-    _run_stepped(root, backend, plan, reduce_root=isinstance(root, SumNode), trace=trace)
+    _run_stepped(root, backend, plan, trace=trace)
     return trace

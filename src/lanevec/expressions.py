@@ -46,17 +46,16 @@ it:
     reduction(slots, ts)  reductions only: fold slot accumulators and the
                           scalar remainder into one value
 
-The block executor drives two calls instead, a strip at a time:
+The block executor drives one call, `block_op`, a strip at a time, and
+only on operands: it does a root's work itself, handing an assignment's
+destination strip down as `out` and folding a reduction's terms.
 
     block_op(lo, hi, out, scratch)
-                          operands: write elements lo..hi-1 into the
-                          array `out` with the ufunc's out= and return
-                          it; given None, return the array the ufunc
-                          makes; a leaf ignores `out` and returns the
-                          view its read_block gives
-    block_commit(lo, hi, scratch)
-                          assignment roots: the source's block_op with
-                          the destination's strip as `out`
+                          write elements lo..hi-1 into the array `out`
+                          with the ufunc's out= and return it; given
+                          None, return the array the ufunc makes; a leaf
+                          ignores `out` and returns the view its
+                          read_block gives
 
 `scratch` is the evaluation's Scratch pool of strip-length registers.
 The register rule keeps exact aliasing safe: a ScaleNode passes its out
@@ -461,10 +460,11 @@ class AssignNode(_Root):
     destination may be the same vector as a source leaf (in-place scaling).
     Overlap at a shifted offset is unchecked, and its result depends on the
     executor and the strip. The own lane holds the computed result between
-    the operation burst and the store burst. In the block executor the
-    source writes each strip straight into the destination's writable
-    window; the register rule keeps that write after every read of the
-    strip.
+    the operation burst and the store burst. The block executor calls no
+    method of this root: it hands the destination's writable window of
+    each strip to the source's `block_op` as out, and copies a bare leaf
+    source into it; the register rule keeps that write after every read
+    of the strip.
     """
 
     __slots__ = ("dest",)
@@ -494,12 +494,6 @@ class AssignNode(_Root):
     def single_op(self, i, ts):
         self.dest.write_element(i, self.child.single_op(i))
 
-    def block_commit(self, lo, hi, scratch):
-        out = scratch.dest = self.dest.write_window(lo, hi)
-        values = self.child.block_op(lo, hi, out, scratch)
-        if values is not out:
-            out[...] = values  # a bare leaf source is copied
-
     def __repr__(self):
         return f"Assign({self.dest!r} <- {self.child!r})"
 
@@ -515,12 +509,13 @@ class SumNode(_Root):
     on both executors, so a sum whose terms are all -0 is +0.
 
     The contract calls here are the stepped executor's; the block executor
-    keeps the accumulators itself, and folds each strip's terms, as rows
-    of U*W lanes, in the array the child's `block_op` writes them to. That
-    array is one of the root's `registers`, unless the child is a leaf,
-    whose terms are its own view. The tail is the end of the last strip,
-    the terms past its whole rows, added in order without another call
-    down the tree.
+    keeps the accumulators itself. It folds every strip's terms, as rows
+    of U*W lanes, in the array the child's `block_op` writes them to, after
+    adding the lanes so far into the strip's first row. That array is one
+    of the root's `registers`, reused on every strip, unless the child is a
+    leaf, whose terms are its own view and one strip. The tail is the end
+    of the last strip, the terms past its whole rows, added in order
+    without another call down the tree.
     """
 
     __slots__ = ()

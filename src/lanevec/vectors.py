@@ -71,8 +71,13 @@ class DenseVector(Leaf):
 
     @classmethod
     def from_values(cls, values, dtype="f32") -> "DenseVector":
+        """A vector holding a copy of the 1-D sequence `values`; a nested
+        sequence or a scalar raises ValueError, as the constructor does
+        for storage that is not 1-D."""
         dt = as_dtype(dtype)
-        src = _reals(values).reshape(-1)
+        src = _reals(values)
+        if src.ndim != 1:
+            raise ValueError(f"values must be 1-D, got {src.ndim} dimensions")
         buf = _aligned_empty(src.shape[0], dt)
         buf[:] = src
         return cls(buf, dt)

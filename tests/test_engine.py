@@ -600,11 +600,19 @@ def test_every_scratch_register_holds_scratch_bytes(dtype):
         assert got.tobytes() == want.tobytes(), name
 
 
+def assert_positive_zero(root, opts, where):
+    r_block = execute_reduce(root, **opts)
+    r_step = execute_reduce(root, stepped=True, **opts)
+    assert r_block.tobytes() == r_step.tobytes(), where
+    assert r_block == 0 and not np.signbit(r_block), where
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
-def test_negative_zero_terms_sum_to_positive_zero(dtype, backend_of):
+def test_negative_zero_terms_sum_to_positive_zero(dtype, backend_of, monkeypatch):
     """Every lane and the remainder start at +0 on both executors, so a
-    sum or dot whose terms are all -0.0 is +0.0, with a tail or without."""
+    sum or dot whose terms are all -0.0 is +0.0, with a tail or without,
+    and so is a dot or sum(t3) whose lanes are carried across strips."""
     backend = backend_of(dtype)
     for unroll in UNROLLS:
         block = unroll * backend.width
@@ -613,11 +621,11 @@ def test_negative_zero_terms_sum_to_positive_zero(dtype, backend_of):
             y = DenseVector.from_values(np.ones(n), dtype)
             opts = dict(backend=backend, unroll=unroll)
             for name, make in REDUCTIONS.items():
-                r_block = execute_reduce(make(x, y), **opts)
-                r_step = execute_reduce(make(x, y), stepped=True, **opts)
-                where = (name, n, unroll)
-                assert r_block.tobytes() == r_step.tobytes(), where
-                assert r_block == 0 and not np.signbit(r_block), where
+                assert_positive_zero(make(x, y), opts, (name, n, unroll))
+
+    monkeypatch.setattr(engine, "SCRATCH_BYTES", CARRY_SCRATCH_BYTES)
+    for name, make, opts, n, _ in carry_runs(dtype, backend):
+        assert_positive_zero(make(*tail_vectors(n, dtype, "-0.0")), opts, (name, n, opts))
 
 
 # (x, y) values put in the tail: one NaN or infinity in its middle, or -0.0
@@ -633,9 +641,11 @@ TAIL_CASES = {
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
-def test_array_tail_matches_single_op_tail(dtype, backend_of):
+def test_array_tail_matches_single_op_tail(dtype, backend_of, monkeypatch):
     """The block executor evaluates the tail in one array call; the stepped
-    executor runs single_op per element. They agree bit for bit."""
+    executor runs single_op per element. They agree bit for bit, and so
+    they do with a NaN or an infinity in the row the lanes so far are
+    carried into."""
     backend = backend_of(dtype)
     strip = axpy_strip(dtype)
     for unroll in UNROLLS:
@@ -664,6 +674,15 @@ def test_array_tail_matches_single_op_tail(dtype, backend_of):
                 execute_assign(AssignNode(as_node(d_step), source), stepped=True, **opts)
                 got, want = d_block.to_array().tobytes(), d_step.to_array().tobytes()
                 assert got == want, where
+
+    monkeypatch.setattr(engine, "SCRATCH_BYTES", CARRY_SCRATCH_BYTES)
+    for name, make, opts, n, carried in carry_runs(dtype, backend):
+        for case in ("nan", "+inf", "-inf"):
+            vectors = tail_vectors(n, dtype, "uniform")
+            vectors[0][carried] = TAIL_CASES[case][0]
+            r_block = execute_reduce(make(*vectors), **opts)
+            r_step = execute_reduce(make(*vectors), stepped=True, **opts)
+            assert r_block.tobytes() == r_step.tobytes(), (name, n, opts, case)
 
 
 # Reductions the tail rule must hold for: a product, a bare leaf and a
@@ -695,6 +714,30 @@ def row_of(make, dtype, opts):
     root = make(*tail_vectors(0, dtype, "uniform"))
     backend = opts.get("backend", default_backend(dtype))
     return select_plan(root.register_footprint, 0, backend, unroll=opts.get("unroll")).block
+
+
+# The carry across strips does not depend on their length, so the carry
+# tests patch SCRATCH_BYTES to make strips of 256 f32 or 128 f64 elements,
+# two rows of the widest plan: at the real strips, each width-1 stepped
+# run of sum(t3) takes about 0.5 s.
+CARRY_SCRATCH_BYTES = 1024
+
+
+def carry_runs(dtype, backend):
+    """(name, make, opts, n, carried) for dot and sum(t3) at n = 2*strip +
+    {0, 1, U*W - 1, U*W + 3}, so that the lanes so far are carried into
+    the first row of a second strip, and of a third that may be short or
+    hold only tail terms. Each runs on the default plan if `backend` is
+    wide, or at unroll 1 and 8 on the scalar one; `carried` is an index
+    in the middle of the second strip's first row."""
+    configs = [{}] if backend.specialized else [dict(backend=backend, unroll=u) for u in (1, 8)]
+    for name in ("dot", "sum(t3)"):
+        make = TAIL_ROOTS[name]
+        strip = block_strip(make(*tail_vectors(0, dtype, "uniform")), 1 << 40)
+        for opts in configs:
+            block = row_of(make, dtype, opts)
+            for n in sorted({2 * strip + k for k in (0, 1, block - 1, block + 3)}):
+                yield name, make, opts, n, strip + block // 2
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf

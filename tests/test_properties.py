@@ -108,10 +108,12 @@ def documented_sum(terms, unroll, width):
 def registers_taken(root, n):
     """Scratch registers one block strip of n elements makes: all are back
     in the pool when it ends, with a reduction's terms array, which a
-    non-leaf child is handed and a leaf's view stands in for."""
+    non-leaf child is handed and a leaf's view stands in for. An
+    assignment's strip is the engine's: the destination window as out."""
     scratch = Scratch()
     if isinstance(root, AssignNode):
-        root.block_commit(0, n, scratch)
+        out = scratch.dest = root.dest.write_window(0, n)
+        root.child.block_op(0, n, out, scratch)
     else:
         scratch.dest = None
         terms = None if isinstance(root.child, Leaf) else np.empty(n, root.dtype)

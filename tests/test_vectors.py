@@ -46,6 +46,15 @@ def test_from_values_round_trip(dtype):
     assert len(v) == 3
 
 
+@pytest.mark.parametrize("make", [DenseVector.from_values, CountingVector.from_values])
+def test_from_values_refuses_what_is_not_1d(make):
+    """A nested sequence or a scalar is not flattened into a vector."""
+    for bad, ndim in (([[1, 2], [3, 4]], 2), (np.ones((2, 1)), 2), (5.0, 0), (np.float32(5), 0)):
+        with pytest.raises(ValueError, match=f"1-D, got {ndim}"):
+            make(bad, "f32")
+    assert len(make([5.0], "f32")) == 1
+
+
 def test_to_values_returns_dtype_scalars():
     # exactness tests depend on element-typed arithmetic, not Python floats
     v = DenseVector.from_values([1, 2], "f32")
