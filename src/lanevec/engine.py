@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import AssignNode, Scratch, SumNode, combine_partials
-from .lanes import LaneBackend, default_backend, is_count
+from .lanes import _DTYPES, LaneBackend, default_backend, is_count
 
 __all__ = [
     "UnrollPlan",
@@ -98,7 +98,7 @@ DEFAULT_REGISTER_BUDGET = 16
 # with 2 MiB of L2 per core.
 SCRATCH_BYTES = 128 * 1024
 # The remainder of an empty tail; building it per call costs ~0.5 us.
-_ZERO = {np.dtype(t): np.dtype(t).type(0) for t in (np.float32, np.float64)}
+_ZERO = {t: t.type(0) for t in _DTYPES}
 
 
 class PlanError(ValueError):
@@ -257,11 +257,6 @@ def _resolve(root, plan, backend, unroll, packages):
     return backend, plan
 
 
-def _overridden(plan, backend, unroll, packages) -> bool:
-    """Whether a call passes anything _resolve must check."""
-    return not (plan is None and backend is None and unroll is None and packages is None)
-
-
 def _run_stepped(root, backend, plan, trace=None):
     length = root.length
     width = plan.width
@@ -375,7 +370,7 @@ def _run_block_reduce(root, unroll, width):
     if not length:
         return zero  # every lane's +0, and no walk of the tree
     block = unroll * width
-    n = length - length % block
+    n = masked_length(length, unroll, width)
     terms = root.child.block_op
     scratch = None  # a leaf's view takes no register and needs no pool
     if root.registers:
@@ -417,7 +412,8 @@ def execute_assign(
     """Evaluate an assignment tree, writing every destination element once."""
     if not isinstance(root, AssignNode):
         raise TypeError("execute_assign requires an assignment root")
-    if stepped or _overridden(plan, backend, unroll, packages):
+    if (stepped or plan is not None or backend is not None or unroll is not None
+            or packages is not None):
         # the block executor reads neither; they are checked all the same
         backend, plan = _resolve(root, plan, backend, unroll, packages)
         if stepped:
@@ -437,7 +433,8 @@ def execute_reduce(
     """Evaluate a reduction tree and return its scalar value."""
     if not isinstance(root, SumNode):
         raise TypeError("execute_reduce requires a reduction root")
-    if stepped or _overridden(plan, backend, unroll, packages):
+    if (stepped or plan is not None or backend is not None or unroll is not None
+            or packages is not None):
         backend, plan = _resolve(root, plan, backend, unroll, packages)
         if stepped:
             return _run_stepped(root, backend, plan)
@@ -466,7 +463,6 @@ def call_trace(
     """
     if not isinstance(root, (AssignNode, SumNode)):
         raise TypeError("call_trace requires an assignment or reduction root")
-    backend, plan = _resolve(root, plan, backend, unroll, packages)
     trace = []
-    _run_stepped(root, backend, plan, trace=trace)
+    _run_stepped(root, *_resolve(root, plan, backend, unroll, packages), trace)
     return trace

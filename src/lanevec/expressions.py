@@ -94,6 +94,8 @@ import operator
 
 import numpy as np
 
+from .lanes import _DTYPES
+
 __all__ = [
     "Expression",
     "Scratch",
@@ -111,7 +113,7 @@ __all__ = [
 ]
 
 
-_LARGEST_FINITE = {np.dtype(t): float(np.finfo(t).max) for t in (np.float32, np.float64)}
+_LARGEST_FINITE = {t: float(np.finfo(t).max) for t in _DTYPES}
 
 
 class LengthMismatchError(ValueError):
@@ -209,11 +211,12 @@ class Leaf(Expression):
     CountingVector inherits it. `Leaf(v)` wraps any other container and
     forwards the accessors to it; the wrapper and `vector` are kept for
     the probes in perfbench/, which build `Leaf(out)` and read
-    `node.vector`. A vector is a key in slot dicts, so no subclass may
-    define __eq__ or __hash__. The in-place operators raise TypeError:
-    `x += y` would rebind x to an unevaluated node and leave the vector
-    as it was. Other expressions keep Python's fallback, which rebinds,
-    since they are immutable.
+    `node.vector`. A wrapper has no `assign`: DenseVector owns it, since
+    it runs the engine, which this module must not import. A vector is a
+    key in slot dicts, so no subclass may define __eq__ or __hash__. The
+    in-place operators raise TypeError: `x += y` would rebind x to an
+    unevaluated node and leave the vector as it was. Other expressions
+    keep Python's fallback, which rebinds, since they are immutable.
     """
 
     __slots__ = ("vector", "dtype", "length")
@@ -232,10 +235,6 @@ class Leaf(Expression):
     __iadd__ = _no_in_place("+")
     __isub__ = _no_in_place("-")
     __imul__ = _no_in_place("*")
-
-    def assign(self, expression, **plan_kwargs) -> None:
-        """Evaluate a lazy expression into this vector in one fused pass."""
-        engine.execute_assign(AssignNode(self, expression), **plan_kwargs)
 
     def read_block(self, lo, hi):
         return self.vector.read_block(lo, hi)
@@ -553,9 +552,8 @@ def combine_partials(rows, remainder):
     """Fold per-slot lane accumulators plus the scalar remainder, in the
     documented fixed order: each row's lanes left to right, the row totals
     in slot order, then the remainder. Shared by both execution paths so
-    they agree bit for bit."""
-    if len(rows) == 0:
-        return remainder
+    they agree bit for bit. Neither passes an empty `rows`: every plan has
+    a slot, and the block executor folds nothing when no row is whole."""
     # accumulate adds strictly in sequence; np.sum would add pairwise
     row_totals = np.add.accumulate(rows, axis=1)[:, -1]
     return np.add.accumulate(row_totals)[-1] + remainder
@@ -566,7 +564,3 @@ def common_length(root) -> int:
     they are built, before any element is touched, so this reads it."""
     return root.length
 
-
-# engine imports this module, so it is bound last; assign looks it up when
-# called. An import inside assign would cost about 1 us per call.
-from . import engine  # noqa: E402

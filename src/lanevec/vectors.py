@@ -4,7 +4,8 @@ import numbers
 
 import numpy as np
 
-from .expressions import Leaf
+from .engine import execute_assign
+from .expressions import AssignNode, Leaf
 from .lanes import CONTAINER_ALIGNMENT, as_dtype, is_count
 
 __all__ = ["DenseVector"]
@@ -39,8 +40,8 @@ class DenseVector(Leaf):
     and ValueError for any other shape or layout. Zero-length vectors are
     legal and every loop degenerates cleanly over them. The vector is the
     Leaf node of every expression over it, and `assign` evaluates one
-    into it. It is a key in slot dicts, so it must not define __eq__ or
-    __hash__.
+    into it through the engine; CountingVector inherits it. It is a key in
+    slot dicts, so it must not define __eq__ or __hash__.
     """
 
     __slots__ = ("_data",)
@@ -57,6 +58,10 @@ class DenseVector(Leaf):
         self.length = data.shape[0]
 
     vector = property(lambda self: self, doc="The vector itself (see Leaf).")
+
+    def assign(self, expression, **plan_kwargs) -> None:
+        """Evaluate a lazy expression into this vector in one fused pass."""
+        execute_assign(AssignNode(self, expression), **plan_kwargs)
 
     @classmethod
     def zeros(cls, n: int, dtype="f32") -> "DenseVector":

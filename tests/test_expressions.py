@@ -273,10 +273,6 @@ def test_combine_partials_order_is_slots_then_lanes_then_remainder(dtype):
     assert got.tobytes() == expected.tobytes()
 
 
-def test_combine_partials_with_no_rows_returns_remainder():
-    assert combine_partials([], np.float32(1.5)) == np.float32(1.5)
-
-
 def test_combine_partials_small_case():
     rows = [np.ones(4, dtype=np.float32), np.full(4, 2, dtype=np.float32)]
     assert combine_partials(rows, np.float32(3)) == 15

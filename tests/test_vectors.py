@@ -1,5 +1,6 @@
 import fractions
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -124,6 +125,33 @@ def test_element_values_must_be_real_numbers(make):
     assert make(np.arange(3)).to_values() == [0, 1, 2]
     values = [fractions.Fraction(1, 2), 2, np.float64(1.5), 4.0]
     assert make(values).to_values() == [0.5, 2, 1.5, 4]
+
+
+@pytest.mark.parametrize("make", [DenseVector.from_values, CountingVector.from_values])
+def test_element_values_that_overflow(make):
+    """Unlike a scale factor, an element value that overflows raises
+    nothing of the library's own: a float past f32's range is stored as
+    ±inf, as NumPy's cast makes it, and an int too large for any float
+    raises float()'s OverflowError in both dtypes and writes nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NumPy's cast warning
+        v = make([1e40, -1e40, 1.0], "f32")
+        assert v.to_values() == [np.inf, -np.inf, 1.0]
+        v[0] = -1e40
+        v.set(1, 1e40)
+        assert v.to_values() == [-np.inf, np.inf, 1.0]
+    for dtype in ("f32", "f64"):
+        for values in ([10**400], [1.0, -(10**400)]):
+            with pytest.raises(OverflowError):
+                make(values, dtype)
+        v = make([1.0, 2.0], dtype)
+        for bad in (10**400, -(10**400)):
+            with pytest.raises(OverflowError):
+                v[0] = bad
+            with pytest.raises(OverflowError):
+                v.set(1, bad)
+        assert v.to_values() == [1.0, 2.0]
+        assert getattr(v, "write_count", 0) == 0
 
 
 def test_set_coerces_to_element_type():
