@@ -37,17 +37,22 @@ over the whole length. The tail is the end of the last strip:
   source is copied there. The register rule delays every write to the
   destination until the strip's leaves have been read, so a destination
   that is also a source leaf stays safe;
-- a reduction views a strip's terms as rows of U*W lanes, one main-loop
-  iteration per row, and one fold adds each lane down the rows in
-  iteration order, from +0. The array its terms go into is one register,
-  reused on every strip, unless they are a leaf's own view, which is one
-  strip. Every strip is folded where its terms lie; from the second on,
-  the lanes so far are first added into the strip's first row, so each
-  lane is carried down the rows in iteration order, as one fold over the
-  whole length would carry it. The tail's terms, fewer than a row, are
-  added in order and then to +0, which is the stepped remainder bit for
-  bit, and no node is called again for them. A vector shorter than a row
-  folds nothing: every lane is +0, so that remainder is its value.
+- a reduction views a strip's terms as rows of L fold lanes and adds each
+  lane down the rows in iteration order, from +0, in one fold. L is the
+  plan's fold_lanes, one rule for both executors: U*W, widened to up to
+  256 lanes once the vector is long enough that each lane still adds at
+  least 256 terms. The array the terms go into is one register, reused
+  on every strip, unless they are a leaf's own view, which is one strip.
+  Every strip is folded where its terms lie, into one lanes buffer; from
+  the second on, the lanes so far are first added into the strip's first
+  row, so each lane is carried down the rows in iteration order, as one
+  fold over the whole length would carry it. The masked length is still
+  a multiple of U*W, not of L, so its last row may hold fewer than L
+  terms; they are added, last, into the first lanes. The tail's terms,
+  fewer than U*W, are added in order and then to +0, which is the
+  stepped remainder bit for bit, and no node is called again for them. A
+  vector shorter than U*W folds nothing: every lane is +0, so that
+  remainder is its value.
 
 A call builds only what its executor reads. The element count is the
 root's `length`, checked when the tree was built. With no plan, backend,
@@ -58,6 +63,11 @@ default backend. Any of those overrides, stepped=True and call_trace
 pass through _resolve, which checks the plan against the tree and the
 backend before anything runs.
 
+The stepped executor keeps the same L lanes as c = L/(U*W) groups of U
+slot dicts, iteration t adding into group t mod c, so lane p*U*W + s*W + j
+is slot s of group p, lane j. Both executors then combine the lanes in
+lane order and add the remainder last (combine_partials).
+
 Neither executor makes a temporary longer than one strip. The block
 executor's scratch registers are made once per evaluation, and short ones
 for a short last strip. Both commit elements in the same order and
@@ -66,6 +76,7 @@ results are bit identical; the test suite pins that equivalence.
 """
 
 import functools
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -97,6 +108,14 @@ DEFAULT_REGISTER_BUDGET = 16
 # 256 KiB per register ran slower at cache-resident size on a 2-vCPU Xeon
 # with 2 MiB of L2 per core.
 SCRATCH_BYTES = 128 * 1024
+# A reduction folds in more lanes than U*W, up to this many, only while
+# each lane still adds at least this many terms. A fold adds one row of
+# lanes per NumPy inner loop, so wider rows fold faster; 256 keeps the
+# lanes one buffer of at most 2 KiB, inside the few KiB beyond its
+# registers that an evaluation may make.
+_FOLD_LANES = 256
+# Bytes of the widest element type, whose strip is the shortest.
+_WIDEST = max(t.itemsize for t in _DTYPES)
 # The remainder of an empty tail; building it per call costs ~0.5 us.
 _ZERO = {t: t.type(0) for t in _DTYPES}
 
@@ -155,6 +174,29 @@ class UnrollPlan:
     @property
     def slots_per_package(self) -> int:
         return self.unroll // self.packages
+
+    @property
+    def fold_lanes(self) -> int:
+        """Lanes a reduction under this plan folds its terms in, on both
+        executors: the largest power of two L with U*W <= L <= 256 and
+        256*L <= masked_length, and no longer than the shortest strip;
+        U*W if there is none."""
+        return _fold_lanes(self.block, self.masked_length)
+
+
+def _fold_lanes(block: int, masked: int) -> int:
+    """UnrollPlan.fold_lanes of a plan whose main loop adds `masked` terms
+    in rows of `block` = U*W; the shortest strip is SCRATCH_BYTES of the
+    widest type. Each term then passes through at most masked/L + L
+    roundings in the fold and the combine, no more than masked/block +
+    block, since L*L <= 256*L <= masked."""
+    lanes = block
+    # the first test ends the loop at once for the short vectors most
+    # calls take
+    while 2 * _FOLD_LANES * lanes <= masked and 2 * lanes <= min(
+            _FOLD_LANES, SCRATCH_BYTES // _WIDEST):
+        lanes *= 2
+    return lanes
 
 
 def masked_length(length: int, unroll: int, width: int) -> int:
@@ -266,12 +308,19 @@ def _run_stepped(root, backend, plan, trace=None):
     rec = trace.append if trace is not None else None
 
     ts = {}
-    slots = [{} for _ in range(plan.unroll)]
-    # each package's (window start and end in the iteration, slot number,
-    # slot), built once so that the main loop does little index arithmetic
-    packages = [
-        [(k * width, (k + 1) * width, k, slots[k]) for k in range(first, first + span)]
-        for first in range(0, plan.unroll, span)
+    # A reduction keeps its fold lanes as c groups of U slots; iteration t
+    # adds into group t mod c.
+    groups = _fold_lanes(plan.block, n) // plan.block if isinstance(root, SumNode) else 1
+    slots = [{} for _ in range(groups * plan.unroll)]
+    # each group's packages of (window start and end in the iteration, slot
+    # number, slot), built once so that the main loop does little index
+    # arithmetic
+    schedules = [
+        [
+            [(k * width, (k + 1) * width, k, slots[p + k]) for k in range(first, first + span)]
+            for first in range(0, plan.unroll, span)
+        ]
+        for p in range(0, len(slots), plan.unroll)
     ]
 
     if rec:
@@ -279,10 +328,10 @@ def _run_stepped(root, backend, plan, trace=None):
     root.init(ts)
     for k, slot in enumerate(slots):
         if rec:
-            rec(TraceEvent("load_once", None, k))
+            rec(TraceEvent("load_once", None, k % plan.unroll))
         root.load_once(slot, backend)
 
-    for i in range(0, n, plan.block):
+    for i, packages in zip(range(0, n, plan.block), itertools.cycle(schedules)):
         for package in packages:
             for lo, hi, k, slot in package:
                 if rec:
@@ -340,36 +389,32 @@ def _run_block_assign(root):
             out[...] = values  # a bare leaf source is copied
 
 
-def _fold(rows):
-    """The lanes of `rows`, one per column, each added down them from +0."""
+def _fold(rows, out):
+    """The lanes of `rows`, one per column, each added down them from +0,
+    into `out`, or into a new array if it is None."""
     if rows.shape[1] > 1:
-        return np.add.reduce(rows, axis=0, initial=0)
+        return np.add.reduce(rows, axis=0, initial=0, out=out)
     # A (k, 1) array collapses to 1-D, where add.reduce sums pairwise, so
-    # the one lane is accumulated a strip at a time, each strip copied in
-    # behind the running total: a leaf's whole view makes no temporary
-    # longer than a strip.
-    lane = np.zeros(1, rows.dtype)
-    step = SCRATCH_BYTES // rows.itemsize
-    for lo in range(0, len(rows), step):
-        sums = np.concatenate((lane, rows[lo : lo + step, 0]))
-        lane = np.add.accumulate(sums, out=sums)[-1:]
-    return lane
+    # the one lane is accumulated; a reduction folds in one lane only below
+    # 512 terms, so the accumulate's temporary stays short.
+    return np.add(np.add.accumulate(rows)[-1], _ZERO[rows.dtype], out=out)
 
 
 def _run_block_reduce(root, unroll, width):
-    # Lane j of slot s is column s*width + j of a strip's rows. Every strip
-    # is folded where its terms lie: in a leaf's view, which is one strip,
-    # or in the root's one register, the array the child's ufunc makes on
-    # the first strip, passed back as out on the later ones and viewed
-    # short on a short last strip. From the second strip on, the lanes so
-    # far are first added into the strip's first row, so that row is never
-    # a leaf's. Only the last strip ends in a part row: its terms past n
-    # are the tail.
+    # Lane p of the fold is column p of a strip's rows of `fold` lanes, as
+    # it is lane p of the stepped slots. Every strip is folded where its
+    # terms lie: in a leaf's view, which is one strip, or in the root's one
+    # register, the array the child's ufunc makes on the first strip,
+    # passed back as out on the later ones and viewed short on a short last
+    # strip. From the second strip on, the lanes so far are first added
+    # into the strip's first row, so that row is never a leaf's. Strips are
+    # whole rows, as a strip holds a power of two no shorter than a row;
+    # only the last one ends in a part row of masked terms, which adds into
+    # the first lanes, and in the tail.
     length = root.length
     zero = _ZERO[root.dtype]
     if not length:
         return zero  # every lane's +0, and no walk of the tree
-    block = unroll * width
     n = masked_length(length, unroll, width)
     terms = root.child.block_op
     scratch = None  # a leaf's view takes no register and needs no pool
@@ -378,6 +423,8 @@ def _run_block_reduce(root, unroll, width):
         scratch.dest = None
     if not n:  # no row, so every lane is +0: the remainder is the sum
         return zero + np.add.accumulate(terms(0, length, None, scratch))[-1]
+    fold = _fold_lanes(unroll * width, n)
+    part = n % fold  # masked terms past the last whole row of lanes
     strip = block_strip(root, length)
     values = lanes = None
     for lo in range(0, length, strip):
@@ -387,17 +434,19 @@ def _run_block_reduce(root, unroll, width):
             scratch.clear()
             values = values[: hi - lo]
         values = terms(lo, hi, values, scratch)
-        rows = values[: n - lo].reshape(-1, block)
-        if len(rows):  # the last strip may hold only tail terms
+        rows = values[: n - part - lo].reshape(-1, fold)
+        if len(rows):  # the last strip may hold only a part row and the tail
             if lanes is not None:
                 np.add(lanes, rows[0], out=rows[0])
-            lanes = _fold(rows)
+            lanes = _fold(rows, lanes)
+    if part:
+        np.add(lanes[:part], values[n - part - lo : n - lo], out=lanes[:part])
     # The tail's terms are added in order, then to +0: the stepped
     # remainder, which starts at +0, bit for bit, -0 terms included.
     remainder = zero
     if length > n:
         remainder = zero + np.add.accumulate(values[n - lo :])[-1]
-    return combine_partials(lanes.reshape(unroll, width), remainder)
+    return combine_partials(lanes, remainder)
 
 
 def execute_assign(
@@ -459,7 +508,10 @@ def call_trace(
     Returns TraceEvent(kind, index, slot) tuples in call order; kinds are
     init, load_once, load, vector_op, store, single_op, cleanup and, for
     reduction roots, reduction. index is the element index of lane calls,
-    slot the unroll slot, None where not applicable.
+    slot the unroll slot, None where not applicable. load_once runs once
+    per slot: U times, or, for a reduction whose plan folds in c =
+    fold_lanes/(U*W) > 1 groups of slots, c*U times, slots 0..U-1 of each
+    group in turn.
     """
     if not isinstance(root, (AssignNode, SumNode)):
         raise TypeError("call_trace requires an assignment or reduction root")

@@ -500,21 +500,26 @@ class AssignNode(_Root):
 class SumNode(_Root):
     """Reduction root: sums the operand expression over all indices.
 
-    Each unroll slot keeps a lane accumulator; remainder elements add, in
-    index order, into a scalar accumulator, kept in the temporary, that
-    starts at +0. `reduction` folds slot accumulators in ascending slot
-    order, lanes left to right within each, then adds the remainder last,
-    so a result is reproducible for a fixed plan. Every lane starts at +0
-    on both executors, so a sum whose terms are all -0 is +0.
+    The main loop adds into L lanes, the plan's fold_lanes: U*W, or up to
+    256 on a long vector. Each unroll slot keeps a W-lane accumulator, and
+    the stepped executor runs c = L/(U*W) groups of U slots, iteration t
+    adding into group t mod c, so lane p*U*W + s*W + j is lane j of slot s
+    of group p. Remainder elements add, in index order, into a scalar
+    accumulator, kept in the temporary, that starts at +0. `reduction`
+    adds every lane in lane order, in one pass from lane 0, then adds the
+    remainder last, so a result is reproducible for a fixed plan. Every
+    lane starts at +0 on both executors, so a sum whose terms are all -0
+    is +0.
 
     The contract calls here are the stepped executor's; the block executor
     keeps the accumulators itself. It folds every strip's terms, as rows
-    of U*W lanes, in the array the child's `block_op` writes them to, after
+    of L lanes, in the array the child's `block_op` writes them to, after
     adding the lanes so far into the strip's first row. That array is one
     of the root's `registers`, reused on every strip, unless the child is a
-    leaf, whose terms are its own view and one strip. The tail is the end
-    of the last strip, the terms past its whole rows, added in order
-    without another call down the tree.
+    leaf, whose terms are its own view and one strip. The masked terms end
+    in a row of fewer than L lanes when U*W < L; they add into the first
+    lanes. The tail is the end of the last strip, the terms past the
+    masked length, added in order without another call down the tree.
     """
 
     __slots__ = ()
@@ -549,14 +554,18 @@ class SumNode(_Root):
 
 
 def combine_partials(rows, remainder):
-    """Fold per-slot lane accumulators plus the scalar remainder, in the
-    documented fixed order: each row's lanes left to right, the row totals
-    in slot order, then the remainder. Shared by both execution paths so
-    they agree bit for bit. Neither passes an empty `rows`: every plan has
-    a slot, and the block executor folds nothing when no row is whole."""
+    """Add a reduction's lane accumulators, then the scalar remainder, in
+    the documented fixed order: every lane in lane order, in one
+    sequential pass from the first, then the remainder. `rows` is a list
+    of W-lane rows, the stepped slots, or an array of the lanes in lane
+    order, the block executor's. Shared by both execution paths so they
+    agree bit for bit. A C-contiguous array is summed in place, so that
+    the lanes make no second buffer; a list is copied first. Neither
+    executor passes an empty `rows`: every plan has a slot, and the block
+    executor folds nothing when no row is whole."""
+    lanes = np.asarray(rows).ravel()
     # accumulate adds strictly in sequence; np.sum would add pairwise
-    row_totals = np.add.accumulate(rows, axis=1)[:, -1]
-    return np.add.accumulate(row_totals)[-1] + remainder
+    return np.add.accumulate(lanes, out=lanes)[-1] + remainder
 
 
 def common_length(root) -> int:

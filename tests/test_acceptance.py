@@ -28,7 +28,7 @@ from lanevec.bench import (
     flop_count,
     run_sweep,
 )
-from lanevec.engine import masked_length
+from lanevec.engine import UnrollPlan, masked_length
 from lanevec.expressions import AssignNode, ScaleNode, as_node
 from lanevec.lanes import as_dtype, scalar_backend, wide_backend
 from lanevec.oracle import oracle_axpy, oracle_scal, oracle_scaled_copy
@@ -323,6 +323,33 @@ def test_reduction_error_bound_at_large_n(dtype):
     print(
         f"[reduction bound] PASS: {dtype} dot at n=2^20 within the "
         f"blocked-summation bound for 2 backends x 4 unroll factors"
+    )
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_reduction_error_bound_with_fold_lanes(dtype):
+    """At n = 2^20 every plan folds in L = 256 lanes, so each term passes
+    through at most k' = n/L + L + tail + 2 roundings. With no tail at
+    2^20, that is sum_error_bound with L in place of U*W, for dot, sum and
+    norm2: 1.9x tighter than the bound on U*W lanes at U*W = 128, and more
+    at every smaller U*W."""
+    n = 1 << 20
+    for op in REDUCTIONS:
+        ref = reference(op, dtype, n)
+        for backend in (scalar_backend(dtype), wide_backend(dtype)):
+            for unroll in UNROLLS:
+                width = backend.width
+                lanes = UnrollPlan(unroll, width, 1, masked_length(n, unroll, width)).fold_lanes
+                assert lanes == 256 and n % (unroll * width) == 0
+                tighter = sum_error_bound(dtype, n, lanes, 1.0)
+                assert tighter < sum_error_bound(dtype, n, unroll * width, 1.0)
+                got = run_engine(op, dtype, n, backend, unroll)
+                assert within_bound(op, dtype, n, lanes, got, ref), (
+                    op, backend, unroll, got, ref,
+                )
+    print(
+        f"[fold-lane bound] PASS: {dtype} dot, sum and norm2 at n=2^20 within "
+        f"gamma_k' with k' = n/256 + 256 + 2 for 2 backends x 4 unroll factors"
     )
 
 

@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lanevec.bench import (
+    _KERNELS,
     CSV_HEADER,
     OPS,
     VARIANTS,
     BenchRecord,
+    _make_data,
     bytes_moved,
     default_sizes,
     emit_csv,
@@ -188,6 +191,64 @@ def test_cli_writes_csv(tmp_path):
     ]
 
 
+def test_cli_writes_json(tmp_path):
+    path = tmp_path / "cli.json"
+    csv = tmp_path / "cli.csv"
+    argv = [
+        "--op", "dot,sum", "--type", "f32,f64", "--variants", "engine,numpy",
+        "--sizes", "8,31", "--reps", "2", "--warmup", "0", "--csv", str(csv),
+        "--json", str(path),
+    ]
+    assert main(argv) == 0
+    document = json.loads(path.read_text())
+    assert document["command"] == ["lanevec-bench", *argv]
+    host = document["host"]
+    for key in ("python", "numpy", "cpu_count", "affinity", "cpu_features", "caches",
+                "git_head", "git_dirty"):
+        assert key in host, key
+    assert host["numpy"] == np.__version__
+    rows = document["records"]
+    # the JSON holds the CSV's records, each with its time relative to numpy
+    assert [BenchRecord(**{k: v for k, v in r.items() if k != "vs_numpy"}) for r in rows] \
+        == parse_csv(csv.read_text())
+    assert len(rows) == 2 * 2 * 2 * 2
+    numpy_best = {(r["op"], r["type"], r["n"]): r["best_s"] for r in rows
+                  if r["variant"] == "numpy"}
+    for r in rows:
+        assert math.isclose(r["gflops"], flop_count(r["op"], r["n"]) / r["best_s"] / 1e9,
+                            rel_tol=1e-12)
+        base = numpy_best[(r["op"], r["type"], r["n"])]
+        assert r["vs_numpy"] == r["best_s"] / base
+        if r["variant"] == "numpy":
+            assert r["vs_numpy"] == 1.0
+
+    # with no numpy record there is nothing to be relative to
+    assert main(["--op", "scal", "--variants", "engine", "--sizes", "8", "--reps", "1",
+                 "--warmup", "0", "--csv", str(csv), "--json", str(path)]) == 0
+    assert [r["vs_numpy"] for r in json.loads(path.read_text())["records"]] == [None]
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_numpy_variant_does_the_op(op):
+    """Each kernel's NumPy call computes what the engine call does."""
+    n = 37
+    kernel = _KERNELS[op]
+    alpha = np.float64(1.25)
+    x, y, out = _make_data(op, n, np.dtype(np.float64), 3)
+    e_x, e_y, e_out = _make_data(op, n, np.dtype(np.float64), 3)
+    arrays = {"alpha": alpha, "x": x.write_window(0, n),
+              "y": None if y is None else y.write_window(0, n),
+              "out": None if out is None else out.write_window(0, n)}
+    got = kernel.numpy(*(arrays[a] for a in kernel.args))()
+    vectors = {"alpha": alpha, "x": e_x, "y": e_y, "out": e_out}
+    want = kernel.engine(*(vectors[a] for a in kernel.args))
+    if want is None:  # the op writes its last vector argument
+        written = kernel.args[-1]
+        got = arrays[written]
+        want = vectors[written].to_array()
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_cli_stdout_default(capsys):
     assert main(["--op", "scal", "--sizes", "8", "--reps", "1", "--warmup", "0",
                  "--variants", "engine"]) == 0
@@ -208,6 +269,9 @@ def test_cli_stdout_default(capsys):
         ["--sizes", "ten"],
         ["--sizes", "-4"],
         ["--reps", "0"],
+        ["--type", "f16"],
+        ["--type", "f32,f16"],
+        ["--type", ","],
         ["--cache-sizes", "1024"],
     ],
 )
@@ -223,6 +287,15 @@ def test_cli_unwritable_csv_exits_1(tmp_path, capsys):
                  "--variants", "engine", "--csv", str(missing_dir)])
     assert code == 1
     assert "cannot write CSV" in capsys.readouterr().err
+
+
+def test_cli_unwritable_json_exits_1(tmp_path, capsys):
+    missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
+    code = main(["--op", "dot", "--sizes", "8", "--reps", "1", "--warmup", "0",
+                 "--variants", "engine", "--csv", str(tmp_path / "x.csv"),
+                 "--json", str(missing_dir)])
+    assert code == 1
+    assert "cannot write JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("op", ["scal", "axpy"])

@@ -805,6 +805,123 @@ def test_reduction_shorter_than_a_row_folds_nothing(dtype, monkeypatch):
             assert got.tobytes() == want.tobytes(), (name, block)
 
 
+# ------------------------------------------------------- fold lanes
+
+
+def test_fold_lanes_rule():
+    """L is the largest power of two with U*W <= L <= 256 and 256*L <= n,
+    and U*W if there is none; the plan shows it."""
+    for unroll, width in ((1, 1), (8, 1), (1, 16), (4, 16), (8, 16), (4, 8), (8, 8)):
+        block = unroll * width
+        for length in (0, 1, 4097, 32768, 65543, 1 << 20, 1 << 22):
+            n = masked_length(length, unroll, width)
+            powers = [1 << k for k in range(9)]
+            want = max([p for p in powers if block <= p and 256 * p <= n], default=block)
+            got = UnrollPlan(unroll, width, 1, n).fold_lanes
+            assert got == want, (unroll, width, length)
+    # the default plans of dot, sum and sum(t3), whose U*W is 16 or more,
+    # keep U*W lanes up to 4097 elements
+    v = DenseVector.zeros(1)
+    for make in (*REDUCTIONS.values(), lambda x, y: SumNode(wide_trees(x, y, x, y)["t3"])):
+        root = make(v, v)
+        for dtype in DTYPES:
+            plan = select_plan(root.register_footprint, 4097, default_backend(dtype))
+            assert plan.fold_lanes == plan.block
+    assert UnrollPlan(1, 1, 1, 511).fold_lanes == 1
+    assert UnrollPlan(1, 1, 1, 512).fold_lanes == 2
+    assert UnrollPlan(4, 16, 1, 1 << 20).fold_lanes == 256
+
+
+def test_fold_lanes_are_capped_at_the_shortest_strip(monkeypatch):
+    """Lanes never outgrow a strip, SCRATCH_BYTES of the widest type, so
+    every strip is whole rows of lanes."""
+    monkeypatch.setattr(engine, "SCRATCH_BYTES", 256)  # 64 f32, 32 f64
+    assert UnrollPlan(1, 16, 1, 1 << 20).fold_lanes == 32
+    assert UnrollPlan(8, 8, 1, 1 << 20).fold_lanes == 64  # no wider than U*W
+    n = 256 * 32 + 16 + 5
+    for dtype in DTYPES:
+        x, y = fresh_pair(n, dtype, seed=3)
+        opts = dict(backend=wide_backend(dtype), unroll=1)
+        r_block = execute_reduce(make_dot(x, y), **opts)
+        r_step = execute_reduce(make_dot(x, y), stepped=True, **opts)
+        assert r_block.tobytes() == r_step.tobytes(), dtype
+
+
+# The fold-lane tests patch SCRATCH_BYTES to make strips of 512 f32 or
+# 256 f64 elements, so that the lanes carried across strips are up to 256
+# wide and a stepped run stays short.
+FOLD_SCRATCH_BYTES = 2048
+
+
+def wide_fold_runs(dtype, backend):
+    """(name, make, opts, n, lanes, bounds) for dot, sum and sum(t3), each
+    folding in L = 2 and 4 times U*W lanes (up to 256): n is 256*L, then a
+    part row of L - U*W masked terms, then a tail of up to 3. Each runs on
+    the default plan if `backend` is wide, or at unroll 1 and 8 on the
+    scalar one. `bounds` are indices where a row of L lanes, a strip or the
+    part row starts, and the terms just before them."""
+    configs = [{}] if backend.specialized else [dict(backend=backend, unroll=u) for u in (1, 8)]
+    for name, make in TAIL_ROOTS.items():
+        root = make(*tail_vectors(0, dtype, "uniform"))
+        strip = block_strip(root, 1 << 40)
+        for opts in configs:
+            block = row_of(make, dtype, opts)
+            for lanes in (2 * block, 4 * block):
+                if lanes > 256:
+                    continue
+                n = 256 * lanes + lanes - block + min(3, block - 1)
+                plan = select_plan(root.register_footprint, n,
+                                   opts.get("backend", default_backend(dtype)),
+                                   unroll=opts.get("unroll"))
+                assert plan.fold_lanes == lanes, (name, opts, n)
+                starts = {lanes, 2 * lanes, strip, 2 * strip, 256 * lanes}
+                bounds = sorted(i for i in starts | {i - 1 for i in starts} if i < n)
+                yield name, make, opts, n, lanes, bounds
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
+def test_block_and_stepped_agree_on_wide_folds(dtype, backend_of, monkeypatch):
+    """With L > U*W fold lanes, the stepped slot groups are the block
+    executor's lanes: both agree bit for bit with a part row and across
+    strip carries, and with NaN, +inf, -inf or -0 terms at the boundaries
+    of rows, strips and the part row."""
+    monkeypatch.setattr(engine, "SCRATCH_BYTES", FOLD_SCRATCH_BYTES)
+    backend = backend_of(dtype)
+    for name, make, opts, n, lanes, bounds in wide_fold_runs(dtype, backend):
+        for case in ("uniform", "nan", "+inf", "-inf", "-0.0"):
+            vectors = tail_vectors(n, dtype, "-0.0" if case == "-0.0" else "uniform")
+            if case in TAIL_CASES and case != "-0.0":
+                for i in bounds:
+                    vectors[0][i] = TAIL_CASES[case][0]
+            where = (name, opts, n, lanes, case)
+            r_block = execute_reduce(make(*vectors), **opts)
+            r_step = execute_reduce(make(*vectors), stepped=True, **opts)
+            assert r_block.tobytes() == r_step.tobytes(), where
+            if case == "-0.0":
+                assert r_block == 0 and not np.signbit(r_block), where
+
+
+def test_stepped_reduction_runs_a_group_of_slots_per_fold_row():
+    """With c = L/(U*W) groups of U slots, load_once runs c*U times and
+    iteration t loads into group t mod c; its events name the unroll
+    slot, 0..U-1."""
+    backend = wide_backend("f32", 4)
+    n = 256 * 16 + 8 + 1  # L = 16 lanes, 2 groups of 2 slots of 4
+    x, y = fresh_pair(n, seed=5)
+    trace = call_trace(make_dot(x, y), backend=backend, unroll=2)
+    assert select_plan(3, n, backend, unroll=2).fold_lanes == 16
+    assert [e.slot for e in trace if e.kind == "load_once"] == [0, 1, 0, 1]
+    loads = [(e.index, e.slot) for e in trace if e.kind == "load"]
+    assert loads[:4] == [(0, 0), (4, 1), (8, 0), (12, 1)]
+    assert len(loads) == (n - 1) // 4
+    # an assignment keeps one group at any length
+    d = DenseVector.zeros(n)
+    trace = call_trace(make_axpy(0.5, x, d), backend=backend, unroll=2)
+    assert [e.slot for e in trace if e.kind == "load_once"] == [0, 1]
+
+
 @pytest.mark.parametrize("stepped", [False, True])
 def test_one_tree_evaluated_from_four_threads(stepped):
     n = 2 * axpy_strip("f32") + 7

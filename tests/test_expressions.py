@@ -17,7 +17,8 @@ from lanevec.expressions import (
     combine_partials,
     common_length,
 )
-from lanevec.engine import execute_assign, execute_reduce
+from lanevec.engine import execute_assign, execute_reduce, select_plan
+from lanevec.lanes import default_backend
 from lanevec.oracle import CountingVector
 from lanevec.vectors import DenseVector
 
@@ -255,22 +256,45 @@ def test_building_expressions_reads_nothing():
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_combine_partials_order_is_slots_then_lanes_then_remainder(dtype):
+    """Lanes add in one sequential pass, slot after slot and left to right
+    within a slot, starting from the first lane; the remainder adds last."""
     dt = np.dtype(np.float32 if dtype == "f32" else np.float64)
     rng = np.random.default_rng(9)
     rows = [rng.uniform(-1, 1, 4).astype(dt) for _ in range(3)]
     remainder = dt.type(0.625)
-    # first horizontal sum seeds the total, later ones accumulate
-    expected = rows[0][0]
-    for k in range(1, 4):
-        expected = expected + rows[0][k]
-    for row in rows[1:]:
-        acc = row[0]
-        for k in range(1, 4):
-            acc = acc + row[k]
-        expected = expected + acc
+    lanes = [v for row in rows for v in row]
+    expected = lanes[0]
+    for v in lanes[1:]:
+        expected = expected + v
     expected = expected + remainder
+    kept = [row.copy() for row in rows]
     got = combine_partials(rows, remainder)
     assert got.tobytes() == expected.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, kept))  # a list is copied
+    # a 2-D array of the same rows sums the same, in place
+    assert combine_partials(np.array(kept), remainder).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_combine_partials_takes_unroll_rows_of_lanes(dtype):
+    """The call shape a caller outside the engine makes, as perfbench's
+    probe does: a list of U default-width rows and a scalar from the
+    backend. It returns one scalar of the element type, the lanes summed
+    in order, and leaves the rows as they were, so repeated calls agree."""
+    backend = default_backend(dtype)
+    w = backend.width
+    u = select_plan(3, 0, backend).unroll  # dot's footprint
+    rng = np.random.default_rng([4, w])
+    rows = [np.asarray(rng.uniform(0.5, 2, w), dtype=backend.dtype) for _ in range(u)]
+    rem = backend.scalar(0.25)
+    total = rows[0][0]
+    for v in np.concatenate(rows)[1:]:
+        total = total + v
+    want = total + rem
+    for _ in range(2):
+        got = combine_partials(rows, rem)
+        assert type(got) is backend.dtype.type
+        assert got.tobytes() == want.tobytes()
 
 
 def test_combine_partials_small_case():

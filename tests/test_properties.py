@@ -22,7 +22,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lanevec.engine import block_strip, execute_reduce, masked_length  # noqa: E402
+from lanevec.engine import (  # noqa: E402
+    UnrollPlan,
+    block_strip,
+    execute_reduce,
+    masked_length,
+)
 from lanevec.expressions import AssignNode, Leaf, Scratch, SumNode, as_node  # noqa: E402
 from lanevec.lanes import as_dtype, scalar_backend, wide_backend  # noqa: E402
 from lanevec.vectors import DenseVector  # noqa: E402
@@ -85,20 +90,30 @@ def numpy_value(tree, arrays, dtype):
     return evaluate(tree, arrays, lambda alpha, a: dtype.type(alpha) * a)
 
 
+def fold_lanes(block, main):
+    """L, the lanes a reduction folds its `main` masked terms in: the
+    largest power of two with block <= L <= 256 and 256*L <= main, or
+    block if there is none."""
+    powers = (1 << k for k in range(9))
+    return max((lanes for lanes in powers if block <= lanes and 256 * lanes <= main),
+               default=block)
+
+
 def documented_sum(terms, unroll, width):
-    """Lane j of slot s adds the terms at s*width + j of each main-loop
-    iteration in order, from +0; lanes fold left to right within a slot,
-    slots in order; the tail's terms add in order from +0, last."""
-    block = unroll * width
+    """Lane p of L = fold_lanes adds the main loop's terms at p, p + L, ...
+    in order, from +0, so the masked part's last row, shorter than L,
+    adds into the first lanes; the lanes add in lane order in one pass,
+    from the first; the tail's terms add in order from +0, last."""
     main = masked_length(len(terms), unroll, width)
-    lanes = np.vstack([np.zeros(block, terms.dtype), terms[:main].reshape(-1, block)])
-    slots = np.add.accumulate(lanes, axis=0)[-1].reshape(unroll, width)
-    total = None
-    for slot in slots:
-        row = slot[0]
-        for v in slot[1:]:
-            row = row + v
-        total = row if total is None else total + row
+    fold = fold_lanes(unroll * width, main)
+    assert UnrollPlan(unroll, width, 1, main).fold_lanes == fold
+    lanes = np.zeros(fold, terms.dtype)
+    for lo in range(0, main, fold):
+        row = terms[lo:main][:fold]
+        lanes[: len(row)] += row
+    total = lanes[0]
+    for v in lanes[1:]:
+        total = total + v
     remainder = terms.dtype.type(0)
     for v in terms[main:]:
         remainder = remainder + v
