@@ -38,7 +38,9 @@ over the whole length. The tail is the end of the last strip:
   destination until the strip's leaves have been read, so a destination
   that is also a source leaf stays safe;
 - a reduction views a strip's terms as rows of L fold lanes and adds each
-  lane down the rows in iteration order, from +0, in one fold. L is the
+  lane down the rows in iteration order, from its first term, in one
+  fold (a stepped lane starts at +0; see SumNode for why the results
+  still agree bit for bit, -0 terms included). L is the
   plan's fold_lanes, one rule for both executors: U*W, widened to up to
   256 lanes once the vector is long enough that each lane still adds at
   least 256 terms. The array the terms go into is one register, reused
@@ -390,10 +392,12 @@ def _run_block_assign(root):
 
 
 def _fold(rows, out):
-    """The lanes of `rows`, one per column, each added down them from +0,
-    into `out`, or into a new array if it is None."""
+    """The lanes of `rows`, one per column, each added down them from its
+    first term, into `out`, or into a new array if it is None."""
     if rows.shape[1] > 1:
-        return np.add.reduce(rows, axis=0, initial=0, out=out)
+        # no initial=0, which costs about 1 us: a lane of -0 terms then
+        # holds -0, which the remainder, never -0 and added last, makes +0
+        return np.add.reduce(rows, axis=0, out=out)
     # A (k, 1) array collapses to 1-D, where add.reduce sums pairwise, so
     # the one lane is accumulated; a reduction folds in one lane only below
     # 512 terms, so the accumulate's temporary stays short.
@@ -414,18 +418,24 @@ def _run_block_reduce(root, unroll, width):
     length = root.length
     zero = _ZERO[root.dtype]
     if not length:
-        return zero  # every lane's +0, and no walk of the tree
-    n = masked_length(length, unroll, width)
+        return zero  # the remainder's +0, and no walk of the tree
+    # masked_length and block_strip, inline: a call to either costs more
+    # than its one line on a short vector
+    block = unroll * width
+    n = length & -block
     terms = root.child.block_op
     scratch = None  # a leaf's view takes no register and needs no pool
+    strip = length
     if root.registers:
         scratch = Scratch()
         scratch.dest = None
-    if not n:  # no row, so every lane is +0: the remainder is the sum
+        strip = SCRATCH_BYTES // root.dtype.itemsize
+        if strip > length:
+            strip = length
+    if not n:  # no row, so the remainder is the sum
         return zero + np.add.accumulate(terms(0, length, None, scratch))[-1]
-    fold = _fold_lanes(unroll * width, n)
+    fold = _fold_lanes(block, n)
     part = n % fold  # masked terms past the last whole row of lanes
-    strip = block_strip(root, length)
     values = lanes = None
     for lo in range(0, length, strip):
         hi = lo + strip

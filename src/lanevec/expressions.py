@@ -3,14 +3,17 @@
 Every operand is an Expression, and a vector is one too: DenseVector
 and CountingVector are Leaf nodes, so a vector is the leaf of every tree
 it appears in and nothing is built to wrap it. Every node constructor
-checks its children with as_node, and ScaleNode its factor for being real,
-so `AddNode(x, 3)` and `ScaleNode("2", x)` raise TypeError as `x + 3` does.
+checks its children as as_node does, and ScaleNode its factor for being
+real, so `AddNode(x, 3)` and `ScaleNode("2", x)` raise TypeError as
+`x + 3` does. A tree is built on every call, so the constructors test the
+common cases inline, and call as_node and the other checks only to raise.
 An operand times a real scalar, on either side, scales, times anything else
 builds a MulNode, and unary minus scales by -1; there is no reflected + or -.
 
 An evaluation has one root, an AssignNode or a SumNode, over an operand
 expression. Roots are not operands: they have no operators, and as_node,
-which every constructor calls, rejects them with TypeError, so
+which every constructor calls on a child that is not one, rejects them
+with TypeError, so
 `SumNode(x) + y` and `SumNode(SumNode(x))` fail when they are built.
 
 Building a tree never touches vector elements, and checks lengths once:
@@ -133,7 +136,8 @@ class Scratch(list):
 
 
 def as_node(obj) -> "Expression":
-    """Each node's check of its children: pass an operand, raise TypeError."""
+    """Each node's check of its children: pass an operand, raise TypeError
+    for anything else."""
     if isinstance(obj, Expression):
         return obj
     if isinstance(obj, _Root):
@@ -151,15 +155,14 @@ def _check_agree(a, b, what):
         )
 
 
-# Exact types settled before the numbers.Real check, an ABC check that
-# costs more than building the node it decides.
+# Exact types a scale factor is tested for before _is_real, whose
+# numbers.Real check is an ABC check that costs more than building the
+# node it decides.
 _PLAIN_REALS = (float, int)
 
 
 def _is_real(obj) -> bool:
-    """isinstance(obj, numbers.Real), with the common cases tested first."""
-    if type(obj) in _PLAIN_REALS:
-        return True
+    """Whether obj, not a float or an int, is a real scale factor."""
     return not isinstance(obj, Expression) and isinstance(obj, numbers.Real)
 
 
@@ -179,7 +182,7 @@ class Expression:
         return SubNode(self, other)
 
     def __mul__(self, other):
-        if _is_real(other):
+        if type(other) in _PLAIN_REALS or _is_real(other):
             return ScaleNode(other, self)
         return MulNode(self, other)
 
@@ -283,13 +286,16 @@ class _BinaryNode(Expression):
     _symbol = "?"
 
     def __init__(self, left: Expression, right: Expression):
-        left = as_node(left)
-        right = as_node(right)
-        _check_agree(left, right, "expression")
+        if not isinstance(left, Expression):
+            as_node(left)  # raises
+        if not isinstance(right, Expression):
+            as_node(right)  # raises
+        self.dtype = dtype = left.dtype
+        self.length = length = left.length
+        if right.dtype is not dtype or right.length != length:
+            _check_agree(left, right, "expression")
         self.left = left
         self.right = right
-        self.dtype = left.dtype
-        self.length = left.length
         self.register_footprint = left.register_footprint + right.register_footprint
         # the left result waits in out while the right one fills a register
         regs = left.registers
@@ -366,16 +372,9 @@ class _UnaryNode:
     under the node; load_once and load pass through to the child. It takes its
     child's scratch registers: a ScaleNode passes its out down, and a root
     hands the child its own out. The base of ScaleNode and of the roots,
-    which are not operands."""
+    which are not operands; each of them sets the five fields itself."""
 
     __slots__ = ("child", "dtype", "length", "register_footprint", "registers")
-
-    def __init__(self, child: Expression):
-        self.child = child = as_node(child)
-        self.dtype = child.dtype
-        self.length = child.length
-        self.register_footprint = 1 + child.register_footprint
-        self.registers = child.registers
 
     def load_once(self, s, backend):
         self.child.load_once(s, backend)
@@ -396,18 +395,24 @@ class ScaleNode(_UnaryNode, Expression):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha, child: Expression):
-        if not _is_real(alpha):
+        if type(alpha) not in _PLAIN_REALS and not _is_real(alpha):
             raise TypeError(f"scale factor must be a real number, got {alpha!r}")
-        super().__init__(child)
-        if abs(float(alpha)) > _LARGEST_FINITE[self.dtype]:
+        if not isinstance(child, Expression):
+            as_node(child)  # raises
+        self.child = child
+        self.dtype = dtype = child.dtype
+        self.length = child.length
+        self.register_footprint = 1 + child.register_footprint
+        self.registers = child.registers
+        if abs(float(alpha)) > _LARGEST_FINITE[dtype]:
             # only here can the cast round to inf; errstate costs ~2 us, so
             # it stays off the common path
             with np.errstate(over="ignore"):
-                self.alpha = self.dtype.type(alpha)
+                self.alpha = dtype.type(alpha)
             if math.isinf(self.alpha) and math.isfinite(alpha):
-                raise OverflowError(f"scale factor {alpha!r} overflows {self.dtype}")
+                raise OverflowError(f"scale factor {alpha!r} overflows {dtype}")
         else:
-            self.alpha = self.dtype.type(alpha)
+            self.alpha = dtype.type(alpha)
 
     def leaves(self):
         return self.child.leaves()
@@ -471,16 +476,23 @@ class AssignNode(_Root):
     def __init__(self, dest: Leaf, source: Expression):
         if not isinstance(dest, Leaf):
             raise TypeError("assignment destination must be a vector leaf")
-        super().__init__(source)
-        _check_agree(dest, self, "assignment")
+        if not isinstance(source, Expression):
+            as_node(source)  # raises
+        self.child = source
+        self.dtype = dtype = source.dtype
+        self.length = length = source.length
+        if dest.dtype is not dtype or dest.length != length:
+            _check_agree(dest, source, "assignment")
         self.dest = dest
+        self.register_footprint = 1 + source.register_footprint
+        registers = source.registers
         # With the destination as out, the first binary node below any
         # scale nodes keeps a non-leaf left result in a register of its own.
-        source = self.child
         while type(source) is ScaleNode:
             source = source.child
         if isinstance(source, _BinaryNode) and not isinstance(source.left, Leaf):
-            self.registers += 1
+            registers += 1
+        self.registers = registers
 
     source = property(operator.attrgetter("child"))
 
@@ -507,9 +519,12 @@ class SumNode(_Root):
     of group p. Remainder elements add, in index order, into a scalar
     accumulator, kept in the temporary, that starts at +0. `reduction`
     adds every lane in lane order, in one pass from lane 0, then adds the
-    remainder last, so a result is reproducible for a fixed plan. Every
-    lane starts at +0 on both executors, so a sum whose terms are all -0
-    is +0.
+    remainder last, so a result is reproducible for a fixed plan. A
+    stepped lane starts at +0 and a block lane at its first term, so a
+    lane whose terms are all -0 holds +0 on one executor and -0 on the
+    other. The remainder starts at +0, so it is never -0, and it is added
+    last: the two executors agree bit for bit, and a sum whose terms are
+    all -0 is +0.
 
     The contract calls here are the stepped executor's; the block executor
     keeps the accumulators itself. It folds every strip's terms, as rows
@@ -525,8 +540,9 @@ class SumNode(_Root):
     __slots__ = ()
 
     def __init__(self, child: Expression):
-        # _UnaryNode's, inlined, since a reduction is built on every call
-        self.child = child = as_node(child)
+        if not isinstance(child, Expression):
+            as_node(child)  # raises
+        self.child = child
         self.dtype = child.dtype
         self.length = child.length
         self.register_footprint = 1 + child.register_footprint

@@ -91,11 +91,15 @@ class LaneBackend:
 
     def splat(self, value) -> np.ndarray:
         """A new register holding one scalar in every lane."""
-        return np.full(self.width, self.scalar(value), dtype=self.dtype)
+        # np.full's own cast and copy cost three times this
+        register = np.empty(self.width, self.dtype)
+        register.fill(self.scalar(value))
+        return register
 
     def scalar(self, value):
         """Coerce a number to this backend's element type."""
-        if not isinstance(value, numbers.Real):
+        # an exact float or int skips the costlier numbers.Real ABC check
+        if type(value) not in (float, int) and not isinstance(value, numbers.Real):
             raise TypeError(f"expected a real scalar, got {type(value).__name__}")
         return self.dtype.type(value)
 

@@ -610,9 +610,12 @@ def assert_positive_zero(root, opts, where):
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
 def test_negative_zero_terms_sum_to_positive_zero(dtype, backend_of, monkeypatch):
-    """Every lane and the remainder start at +0 on both executors, so a
-    sum or dot whose terms are all -0.0 is +0.0, with a tail or without,
-    and so is a dot or sum(t3) whose lanes are carried across strips."""
+    """A sum or dot whose terms are all -0.0 is +0.0, and the block
+    executor returns the stepped one's bits, with a tail or without, and
+    so does a dot or sum(t3) whose lanes are carried across strips. A
+    stepped lane starts at +0 and a block lane at its first term, so the
+    lanes themselves may differ in the sign of zero; the remainder starts
+    at +0 and is added last, which makes both results +0."""
     backend = backend_of(dtype)
     for unroll in UNROLLS:
         block = unroll * backend.width

@@ -1,3 +1,4 @@
+import decimal
 import fractions
 
 import numpy as np
@@ -124,6 +125,75 @@ def test_mixed_element_types_rejected_at_construction():
         _ = x32 + y64
     with pytest.raises(TypeError):
         AssignNode(as_node(y64), as_node(x32))
+
+
+def construction_errors():
+    """{name: (build, exception type, exact message)} of every error a
+    node constructor raises, which the constructors' inline fast paths
+    must keep."""
+    x, y = vec(1, 2), vec(3, 4)
+    x64, y3 = vec(1, 2, dtype="f64"), vec(1, 2, 3)
+    root = SumNode(x)
+    not_operand = "cannot use int in a vector expression"
+    is_root = "SumNode is an evaluation root, not an operand"
+    length = "expression mixes vectors of length 2 and 3"
+    cases = [
+        ("AddNode(x, 3)", lambda: AddNode(x, 3), TypeError, not_operand),
+        ("AddNode(3, x)", lambda: AddNode(3, x), TypeError, not_operand),
+        ("ScaleNode(2.0, 3)", lambda: ScaleNode(2.0, 3), TypeError, not_operand),
+        ("AssignNode(x, 3)", lambda: AssignNode(x, 3), TypeError, not_operand),
+        ("AddNode(root, y)", lambda: AddNode(root, y), TypeError, is_root),
+        ("SubNode(x, root)", lambda: SubNode(x, root), TypeError, is_root),
+        ("x * root", lambda: x * root, TypeError, is_root),
+        ("ScaleNode(2.0, root)", lambda: ScaleNode(2.0, root), TypeError, is_root),
+        ("AssignNode(x, root)", lambda: AssignNode(x, root), TypeError, is_root),
+        ("SumNode(root)", lambda: SumNode(root), TypeError, is_root),
+        ("x + x64", lambda: x + x64, TypeError,
+         "mixed element types in expression: float32 vs float64"),
+        ("AssignNode(x64, x)", lambda: AssignNode(x64, x), TypeError,
+         "mixed element types in assignment: float64 vs float32"),
+        ("x + y3", lambda: x + y3, LengthMismatchError, length),
+        ("AssignNode(x, y3)", lambda: AssignNode(x, y3), LengthMismatchError, length),
+        # the element type is checked before the length
+        ("AssignNode(y3, x64)", lambda: AssignNode(y3, x64), TypeError,
+         "mixed element types in assignment: float32 vs float64"),
+        ("ScaleNode('2', x)", lambda: ScaleNode("2", x), TypeError,
+         "scale factor must be a real number, got '2'"),
+        ("ScaleNode(2j, x)", lambda: ScaleNode(2j, x), TypeError,
+         "scale factor must be a real number, got 2j"),
+        ("ScaleNode(Decimal, x)", lambda: ScaleNode(decimal.Decimal(2), x), TypeError,
+         "scale factor must be a real number, got Decimal('2')"),
+        ("ScaleNode(y, x)", lambda: ScaleNode(y, x), TypeError,
+         f"scale factor must be a real number, got {y!r}"),
+        # the operators build a MulNode for any factor that is not real
+        ("'2' * x", lambda: "2" * x, TypeError, "cannot use str in a vector expression"),
+        ("x * 2j", lambda: x * 2j, TypeError, "cannot use complex in a vector expression"),
+        ("Decimal * x", lambda: decimal.Decimal(2) * x, TypeError,
+         "cannot use Decimal in a vector expression"),
+    ]
+    return {name: case for name, *case in cases}
+
+
+@pytest.mark.parametrize("name", list(construction_errors()))
+def test_construction_errors_keep_their_type_and_message(name):
+    build, kind, message = construction_errors()[name]
+    with pytest.raises(kind) as info:
+        build()
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [True, False, np.float32(2.5), np.float64(-0.5), np.int64(3)],
+    ids=repr,
+)
+def test_bool_and_numpy_scalars_are_scale_factors(factor):
+    x = vec(1, 2)
+    for node in (ScaleNode(factor, x), factor * x, x * factor):
+        assert type(node) is ScaleNode
+        assert type(node.alpha) is np.float32
+        assert node.alpha == np.float32(factor)
 
 
 def test_assignment_destination_must_be_a_leaf():

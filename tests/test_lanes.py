@@ -42,6 +42,35 @@ def test_splat_fills_every_lane(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_splat_is_a_fresh_register_with_np_full_bits(dtype):
+    """Each splat is a new, writable array, bit for bit np.full's with the
+    value coerced to the element type first, for the values where a cast
+    could go wrong."""
+    be = default_backend(dtype)
+    dt = as_dtype(dtype)
+    values = [0, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-40, 0.1, 16777217,
+              np.float32(-0.0), np.float64(0.1), True]
+    for value in values:
+        want = np.full(be.width, dt.type(value))
+        first, second = be.splat(value), be.splat(value)
+        assert first is not second and not np.shares_memory(first, second)
+        for got in (first, second):
+            assert got.dtype == dt and got.shape == (be.width,)
+            assert got.flags.writeable and got.flags.owndata
+            assert got.tobytes() == want.tobytes(), (value, got, want)
+        first[0] = 7  # writing one leaves the next splat untouched
+        assert be.splat(value).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["3", 1 + 2j, np.complex64(1)])
+def test_splat_and_scalar_refuse_a_non_real(bad):
+    be = default_backend("f32")
+    for make in (be.splat, be.scalar):
+        with pytest.raises(TypeError, match="expected a real scalar"):
+            make(bad)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_horizontal_sum_of_splat_one_is_width(dtype):
     for width in (2, 4, 8):
         be = wide_backend(dtype, width)
