@@ -14,7 +14,8 @@ and size: how close the call came to the NumPy roofline.
 engine-U1 ... engine-U8 pin the unroll factor only for the reductions,
 dot, sum and norm2. For scal, axpy and scaled_copy the block executor
 checks the override and then runs the default strips, so those rows
-differ from engine only by the cost of the check.
+differ from engine only by the cost of the check. engine-stepped runs
+every op on the stepped executor, under the default plan.
 
 Everything the sweep knows of an op, its flop and traffic accounting
 included, is its one entry in _KERNELS.
@@ -117,7 +118,7 @@ _KERNELS = {
 
 OPS = tuple(_KERNELS)
 VARIANTS = ("engine", "naive", "numpy", "engine-U1", "engine-U2", "engine-U4",
-            "engine-U8")
+            "engine-U8", "engine-stepped")
 TYPES = ("f32", "f64")
 
 CSV_HEADER = "op,variant,type,n,reps,best_s,median_s,gflops,gbytes"
@@ -181,6 +182,8 @@ def _engine_call(op: str, x, y, out, alpha, options):
 def _variant_options(variant: str):
     if variant.startswith("engine-U"):
         return {"unroll": int(variant[len("engine-U") :])}
+    if variant == "engine-stepped":
+        return {"stepped": True}
     return {}
 
 

@@ -54,16 +54,20 @@ over the whole length. The tail is the end of the last strip:
   fewer than U*W, are added in order and then to +0, which is the
   stepped remainder bit for bit, and no node is called again for them. A
   vector shorter than U*W folds nothing: every lane is +0, so that
-  remainder is its value.
+  remainder is its value. A vector of one row and a tail, U*W <= n <
+  2*U*W, would fold the row into U*W lanes of one term each and add them
+  in lane order; one accumulate over the row gives those bits, with no
+  fold and no combine_partials.
 
 A call builds only what its executor reads. The element count is the
 root's `length`, checked when the tree was built. With no plan, backend,
-unroll or packages, the block executor builds no plan: an assignment's
-strips read neither a plan nor a backend, and a reduction reads only U,
-from select_plan's unroll rule memoized per footprint, and W, from the
-default backend. Any of those overrides, stepped=True and call_trace
-pass through _resolve, which checks the plan against the tree and the
-backend before anything runs.
+unroll or packages, neither executor builds a plan: a block assignment's
+strips read neither a plan nor a backend, and a block reduction or a
+stepped=True call reads only U, from select_plan's unroll rule memoized
+per footprint, and W, from the default backend; the stepped one runs one
+package. Any of those overrides, and call_trace, pass through _resolve,
+which checks the plan against the tree and the backend before anything
+runs.
 
 The stepped executor keeps the same L lanes as c = L/(U*W) groups of U
 slot dicts, iteration t adding into group t mod c, so lane p*U*W + s*W + j
@@ -301,28 +305,35 @@ def _resolve(root, plan, backend, unroll, packages):
     return backend, plan
 
 
-def _run_stepped(root, backend, plan, trace=None):
+def _run_stepped(root, backend, unroll, packages, trace=None):
+    """The stepped executor: drive the node contract call by call, in
+    `unroll` slots of the backend's width, each iteration in `packages`
+    bursts, up to root.length rounded down to a multiple of U*W, then
+    single_op on the tail. It takes the plan's numbers, not a plan, so a
+    default call builds none; _resolve has checked any override, and
+    call_trace passes `trace`, a list the events go into."""
     length = root.length
-    width = plan.width
-    span = plan.slots_per_package
-    n = plan.masked_length
+    width = backend.width
+    block = unroll * width
+    span = unroll // packages
+    n = length & -block
     load, vector_op, store = root.load, root.vector_op, root.store
     rec = trace.append if trace is not None else None
 
     ts = {}
     # A reduction keeps its fold lanes as c groups of U slots; iteration t
     # adds into group t mod c.
-    groups = _fold_lanes(plan.block, n) // plan.block if isinstance(root, SumNode) else 1
-    slots = [{} for _ in range(groups * plan.unroll)]
+    groups = _fold_lanes(block, n) // block if isinstance(root, SumNode) else 1
+    slots = [{} for _ in range(groups * unroll)]
     # each group's packages of (window start and end in the iteration, slot
     # number, slot), built once so that the main loop does little index
     # arithmetic
     schedules = [
         [
             [(k * width, (k + 1) * width, k, slots[p + k]) for k in range(first, first + span)]
-            for first in range(0, plan.unroll, span)
+            for first in range(0, unroll, span)
         ]
-        for p in range(0, len(slots), plan.unroll)
+        for p in range(0, len(slots), unroll)
     ]
 
     if rec:
@@ -330,11 +341,11 @@ def _run_stepped(root, backend, plan, trace=None):
     root.init(ts)
     for k, slot in enumerate(slots):
         if rec:
-            rec(TraceEvent("load_once", None, k % plan.unroll))
+            rec(TraceEvent("load_once", None, k % unroll))
         root.load_once(slot, backend)
 
-    for i, packages in zip(range(0, n, plan.block), itertools.cycle(schedules)):
-        for package in packages:
+    for i, group in zip(range(0, n, block), itertools.cycle(schedules)):
+        for package in group:
             for lo, hi, k, slot in package:
                 if rec:
                     rec(TraceEvent("load", i + lo, k))
@@ -424,39 +435,50 @@ def _run_block_reduce(root, unroll, width):
     block = unroll * width
     n = length & -block
     terms = root.child.block_op
-    scratch = None  # a leaf's view takes no register and needs no pool
     strip = length
     if root.registers:
-        scratch = Scratch()
-        scratch.dest = None
         strip = SCRATCH_BYTES // root.dtype.itemsize
         if strip > length:
             strip = length
-    if not n:  # no row, so the remainder is the sum
-        return zero + np.add.accumulate(terms(0, length, None, scratch))[-1]
-    fold = _fold_lanes(block, n)
-    part = n % fold  # masked terms past the last whole row of lanes
-    values = lanes = None
-    for lo in range(0, length, strip):
-        hi = lo + strip
-        if hi > length:
-            hi = length
-            scratch.clear()
-            values = values[: hi - lo]
-        values = terms(lo, hi, values, scratch)
-        rows = values[: n - part - lo].reshape(-1, fold)
-        if len(rows):  # the last strip may hold only a part row and the tail
-            if lanes is not None:
-                np.add(lanes, rows[0], out=rows[0])
-            lanes = _fold(rows, lanes)
-    if part:
-        np.add(lanes[:part], values[n - part - lo : n - lo], out=lanes[:part])
+    # a child that takes no register, such as x*y or a leaf, needs no pool
+    # on one strip, where it is given out=None
+    scratch = None
+    if root.child.registers or strip < length:
+        scratch = Scratch()
+        scratch.dest = None
+    if n <= block:  # at most one row, so one strip
+        lo = 0
+        values = terms(0, length, None, scratch)
+    else:
+        fold = _fold_lanes(block, n)
+        part = n % fold  # masked terms past the last whole row of lanes
+        values = lanes = None
+        for lo in range(0, length, strip):
+            hi = lo + strip
+            if hi > length:
+                hi = length
+                scratch.clear()
+                values = values[: hi - lo]
+            values = terms(lo, hi, values, scratch)
+            rows = values[: n - part - lo].reshape(-1, fold)
+            if len(rows):  # the last strip may hold only a part row and the tail
+                if lanes is not None:
+                    np.add(lanes, rows[0], out=rows[0])
+                lanes = _fold(rows, lanes)
+        if part:
+            np.add(lanes[:part], values[n - part - lo : n - lo], out=lanes[:part])
     # The tail's terms are added in order, then to +0: the stepped
     # remainder, which starts at +0, bit for bit, -0 terms included.
     remainder = zero
     if length > n:
         remainder = zero + np.add.accumulate(values[n - lo :])[-1]
-    return combine_partials(lanes, remainder)
+    if n > block:
+        return combine_partials(lanes, remainder)
+    if not n:  # no row, so the remainder is the sum
+        return remainder
+    # One row folds into lanes that each hold one term, and combine_partials
+    # adds them in lane order: one accumulate over the row does both.
+    return np.add.accumulate(values[:n])[-1] + remainder
 
 
 def execute_assign(
@@ -471,12 +493,17 @@ def execute_assign(
     """Evaluate an assignment tree, writing every destination element once."""
     if not isinstance(root, AssignNode):
         raise TypeError("execute_assign requires an assignment root")
-    if (stepped or plan is not None or backend is not None or unroll is not None
-            or packages is not None):
+    if plan is not None or backend is not None or unroll is not None or packages is not None:
         # the block executor reads neither; they are checked all the same
         backend, plan = _resolve(root, plan, backend, unroll, packages)
-        if stepped:
-            return _run_stepped(root, backend, plan)
+        unroll, packages = plan.unroll, plan.packages
+    elif stepped:
+        # the default plan's U and W, and one package, without building it
+        backend = default_backend(root.dtype)
+        unroll = _default_unroll(root.register_footprint, backend.specialized)
+        packages = 1
+    if stepped:
+        return _run_stepped(root, backend, unroll, packages)
     _run_block_assign(root)
 
 
@@ -492,17 +519,17 @@ def execute_reduce(
     """Evaluate a reduction tree and return its scalar value."""
     if not isinstance(root, SumNode):
         raise TypeError("execute_reduce requires a reduction root")
-    if (stepped or plan is not None or backend is not None or unroll is not None
-            or packages is not None):
+    if plan is not None or backend is not None or unroll is not None or packages is not None:
         backend, plan = _resolve(root, plan, backend, unroll, packages)
-        if stepped:
-            return _run_stepped(root, backend, plan)
-        return _run_block_reduce(root, plan.unroll, plan.width)
-    # the default plan's U and W, without building it
-    backend = default_backend(root.dtype)
-    return _run_block_reduce(
-        root, _default_unroll(root.register_footprint, backend.specialized), backend.width
-    )
+        unroll, packages = plan.unroll, plan.packages
+    else:
+        # the default plan's U and W, and one package, without building it
+        backend = default_backend(root.dtype)
+        unroll = _default_unroll(root.register_footprint, backend.specialized)
+        packages = 1
+    if stepped:
+        return _run_stepped(root, backend, unroll, packages)
+    return _run_block_reduce(root, unroll, backend.width)
 
 
 def call_trace(
@@ -526,5 +553,6 @@ def call_trace(
     if not isinstance(root, (AssignNode, SumNode)):
         raise TypeError("call_trace requires an assignment or reduction root")
     trace = []
-    _run_stepped(root, *_resolve(root, plan, backend, unroll, packages), trace)
+    backend, plan = _resolve(root, plan, backend, unroll, packages)
+    _run_stepped(root, backend, plan.unroll, plan.packages, trace)
     return trace

@@ -328,7 +328,7 @@ class _BinaryNode(Expression):
         held = None
         if isinstance(left, Leaf):
             a = left.read_block(lo, hi)
-        elif out is not scratch.dest or out is None:
+        elif out is None or out is not scratch.dest:
             a = out = left.block_op(lo, hi, out, scratch)
         else:
             a = held = left.block_op(lo, hi, scratch.pop() if scratch else None, scratch)
@@ -524,7 +524,8 @@ class SumNode(_Root):
     lane whose terms are all -0 holds +0 on one executor and -0 on the
     other. The remainder starts at +0, so it is never -0, and it is added
     last: the two executors agree bit for bit, and a sum whose terms are
-    all -0 is +0.
+    all -0 is +0. load_once makes each slot's +0 accumulator with
+    np.zeros, the register splat(0) makes for a third of its cost.
 
     The contract calls here are the stepped executor's; the block executor
     keeps the accumulators itself. It folds every strip's terms, as rows
@@ -535,6 +536,8 @@ class SumNode(_Root):
     in a row of fewer than L lanes when U*W < L; they add into the first
     lanes. The tail is the end of the last strip, the terms past the
     masked length, added in order without another call down the tree.
+    When the masked terms are one row, each lane holds one term, so the
+    row is added in one in-order pass without a fold.
     """
 
     __slots__ = ()
@@ -553,7 +556,7 @@ class SumNode(_Root):
         ts[self] = self.dtype.type(0)
 
     def load_once(self, s, backend):
-        s[self] = backend.splat(0)
+        s[self] = np.zeros(backend.width, self.dtype)
         self.child.load_once(s, backend)
 
     def vector_op(self, s):

@@ -7,6 +7,7 @@ sequence; for exact comparisons pass elements (and alpha) already in the
 target scalar type, e.g. via DenseVector.to_values().
 """
 
+from .expressions import Leaf
 from .vectors import DenseVector
 
 __all__ = [
@@ -76,10 +77,12 @@ class CountingVector(DenseVector):
 
     Each of the five element accessors tallies the elements it touches (a
     block access of k elements counts k) and passes values through
-    untouched; get, set and indexing go through read_element and
-    write_element, so they count too. `CountingVector(v)` counts the
-    traffic of v's storage, which it shares; zeros and from_values make
-    storage of its own.
+    untouched. get, set and indexing go through read_element and
+    write_element, and the stepped executor's load and single_op, which
+    DenseVector runs on its storage, are Leaf's again, which go through
+    read_block and read_element, so they all count. `CountingVector(v)`
+    counts the traffic of v's storage, which it shares; zeros and
+    from_values make storage of its own.
     """
 
     __slots__ = ("read_count", "write_count")
@@ -114,6 +117,9 @@ class CountingVector(DenseVector):
         # the caller writes every element of the window once
         self.write_count += hi - lo
         return self._data[lo:hi]
+
+    load = Leaf.load
+    single_op = Leaf.single_op
 
     def __repr__(self):
         return (

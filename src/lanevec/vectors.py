@@ -40,8 +40,10 @@ class DenseVector(Leaf):
     and ValueError for any other shape or layout. Zero-length vectors are
     legal and every loop degenerates cleanly over them. The vector is the
     Leaf node of every expression over it, and `assign` evaluates one
-    into it through the engine; CountingVector inherits it. It is a key in
-    slot dicts, so it must not define __eq__ or __hash__.
+    into it through the engine; CountingVector inherits it. Its stepped
+    executor calls, load and single_op, read the storage directly, not
+    through read_block and read_element as Leaf's do. It is a key in slot
+    dicts, so it must not define __eq__ or __hash__.
     """
 
     __slots__ = ("_data",)
@@ -139,6 +141,13 @@ class DenseVector(Leaf):
 
     def write_element(self, i: int, value) -> None:
         self._data[i] = value
+
+    # Leaf's would cost one more call per slot and per tail element.
+    def load(self, lo, hi, s):
+        s[self] = self._data[lo:hi]
+
+    def single_op(self, i):
+        return self._data[i]
 
     def __repr__(self):
         n = len(self)

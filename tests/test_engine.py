@@ -27,7 +27,7 @@ from lanevec.lanes import (
     scalar_backend,
     wide_backend,
 )
-from lanevec.ops import axpy, dot, scal, scaled_copy
+from lanevec.ops import axpy, dot, norm2, scal, scaled_copy
 from lanevec.ops import sum as vec_sum
 from lanevec.oracle import oracle_axpy, oracle_dot
 from lanevec.vectors import DenseVector
@@ -212,6 +212,32 @@ def test_default_block_assignments_build_no_plan_or_backend(dtype, monkeypatch):
     d.assign((x + y) * (z - a * w))
     want = (xa + (ya + af * xa)) * (za - af * wa)
     assert d.to_array().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_default_stepped_calls_build_no_plan(dtype, monkeypatch):
+    """A stepped call without overrides reads the default plan's U and W
+    without building it, and returns the block executor's result."""
+    block = select_plan(3, 0, default_backend(dtype)).block  # dot's U*W
+    a = 0.75
+    for n in (0, 3, block, 300):
+        values = np.random.default_rng([n, 47]).uniform(-1, 1, (5, n))
+        results = []
+        for stepped in (False, True):
+            x, y, z, w, d = (DenseVector.from_values(v, dtype) for v in values)
+            with monkeypatch.context() as m:
+                if stepped:
+                    m.setattr(engine, "select_plan", _unread)
+                    m.setattr(engine, "UnrollPlan", _unread)
+                got = [dot(x, y, stepped=stepped), vec_sum(x, stepped=stepped),
+                       norm2(x, stepped=stepped)]
+                scal(a, z, stepped=stepped)
+                axpy(a, x, y, stepped=stepped)
+                scaled_copy(a, y, w, stepped=stepped)
+                d.assign((x + y) * (z - a * w), stepped=stepped)
+            results.append([r.tobytes() for r in got] + [
+                v.to_array().tobytes() for v in (y, z, w, d)])
+        assert results[0] == results[1], n
 
 
 def _quad(x, y, z, w):
@@ -619,7 +645,7 @@ def test_negative_zero_terms_sum_to_positive_zero(dtype, backend_of, monkeypatch
     backend = backend_of(dtype)
     for unroll in UNROLLS:
         block = unroll * backend.width
-        for n in sorted({block - 1, 3 * block, 4 * block - 1} - {0}):
+        for n in sorted({block - 1, block, 2 * block - 1, 3 * block, 4 * block - 1} - {0}):
             x = DenseVector.from_values(np.full(n, -0.0), dtype)
             y = DenseVector.from_values(np.ones(n), dtype)
             opts = dict(backend=backend, unroll=unroll)
@@ -773,8 +799,9 @@ def _never_called(*args, **kwargs):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_reduction_shorter_than_a_row_folds_nothing(dtype, monkeypatch):
     """At 0 < n < U*W there is no row, so the block executor returns the
-    tail's remainder without a fold or combine_partials; at n = U*W it
-    calls both."""
+    tail's remainder without a fold or combine_partials; at n = U*W the
+    one row is added in one accumulate, without a fold, and at n = 2*U*W
+    it calls both."""
     calls = []
 
     def spy(f):
@@ -798,6 +825,13 @@ def test_reduction_shorter_than_a_row_folds_nothing(dtype, monkeypatch):
                 assert got.tobytes() == want.tobytes(), (name, block, n)
 
             vectors = tail_vectors(block, dtype, "uniform")
+            want = execute_reduce(make(*vectors), stepped=True, **opts)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_fold", _never_called)
+                got = execute_reduce(make(*vectors), **opts)
+            assert got.tobytes() == want.tobytes(), (name, block)
+
+            vectors = tail_vectors(2 * block, dtype, "uniform")
             want = execute_reduce(make(*vectors), stepped=True, **opts)
             calls.clear()
             with monkeypatch.context() as m:
