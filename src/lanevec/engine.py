@@ -26,31 +26,33 @@ calls single_op. The block executor is the default, because interpreter
 overhead, not arithmetic, dominates here. It runs in strips, one
 contiguous ufunc call per node per strip, each writing with out= into a
 strip-length array (see the block_op contract in expressions). Both
-roots take block_strip's length: each scratch register holds
-SCRATCH_BYTES, so every root that needs one runs strips set by the dtype
-alone, whatever U*W or its register count, and a root that needs none
-(scal, scaled_copy, a*(x + y), a sum over a bare leaf) runs one strip
-over the whole length. The tail is the end of the last strip:
+roots take block_strip's length: each strip array a root's tree makes,
+one of its `registers`, holds SCRATCH_BYTES, so every root that makes one
+runs strips set by the dtype alone, whatever U*W or its register count,
+and a root that makes none (scal, scaled_copy, a*(x + y), a sum over a
+bare leaf) runs one strip over the whole length. The tail is the end of
+the last strip:
 
 - an assignment's source writes each strip straight into the
   destination's window, which the executor hands it as out; a bare leaf
-  source is copied there. The register rule delays every write to the
-  destination until the strip's leaves have been read, so a destination
-  that is also a source leaf stays safe;
+  source is copied there. The source writes that out only with its last
+  ufunc, after the strip's leaves have been read, so a destination that
+  is also a source leaf stays safe;
 - a reduction views a strip's terms as rows of L fold lanes and adds each
   lane down the rows in iteration order, from its first term, in one
   fold (a stepped lane starts at +0; see SumNode for why the results
   still agree bit for bit, -0 terms included). L is the
   plan's fold_lanes, one rule for both executors: U*W, widened to up to
   256 lanes once the vector is long enough that each lane still adds at
-  least 256 terms. The array the terms go into is one register, reused
-  on every strip, unless they are a leaf's own view, which is one strip.
-  Every strip is folded where its terms lie, into one lanes buffer; from
-  the second on, the lanes so far are first added into the strip's first
-  row, so each lane is carried down the rows in iteration order, as one
-  fold over the whole length would carry it. The masked length is still
-  a multiple of U*W, not of L, so its last row may hold fewer than L
-  terms; they are added, last, into the first lanes. The tail's terms,
+  least 256 terms. A strip's terms are the array the child's block_op
+  returns given None, one of the root's registers, made afresh on every
+  strip once the last strip's is freed, or a leaf's own view, which is
+  one strip. Every strip is folded where its terms lie, into one lanes
+  buffer; from the second on, the lanes so far are first added into the
+  strip's first row, so each lane is carried down the rows in iteration
+  order, as one fold over the whole length would carry it. The masked
+  length is still a multiple of U*W, not of L, so its last row may hold
+  fewer than L terms; they are added, last, into the first lanes. The tail's terms,
   fewer than U*W, are added in order and then to +0, which is the
   stepped remainder bit for bit, and no node is called again for them. A
   vector shorter than U*W folds nothing: every lane is +0, so that
@@ -75,8 +77,9 @@ is slot s of group p, lane j. Both executors then combine the lanes in
 lane order and add the remainder last (combine_partials).
 
 Neither executor makes a temporary longer than one strip. The block
-executor's scratch registers are made once per evaluation, and short ones
-for a short last strip. Both commit elements in the same order and
+executor holds at most a root's registers in strip arrays at once, and
+NumPy's allocator reuses their memory from strip to strip; a short last
+strip's are short. Both commit elements in the same order and
 accumulate every lane and the remainder in the same order, so their
 results are bit identical; the test suite pins that equivalence.
 """
@@ -88,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import AssignNode, Scratch, SumNode, combine_partials
+from .expressions import AssignNode, SumNode, combine_partials
 from .lanes import _DTYPES, LaneBackend, default_backend, is_count
 
 __all__ = [
@@ -107,9 +110,9 @@ __all__ = [
 
 UNROLL_FACTORS = (1, 2, 4, 8)
 DEFAULT_REGISTER_BUDGET = 16
-# Bytes of one block-executor scratch register, and so the strip length
-# of every root that needs one: 32768 f32 or 16384 f64 elements. A root
-# of k registers keeps k of them; a reduction's terms array is one.
+# Bytes of one block-executor strip array, and so the strip length of
+# every root that makes one: 32768 f32 or 16384 f64 elements. A root of k
+# registers holds k of them at once; a reduction's terms array is one.
 # Longer strips spread each node's per-strip call over more elements;
 # 256 KiB per register ran slower at cache-resident size on a 2-vCPU Xeon
 # with 2 MiB of L2 per core.
@@ -377,8 +380,8 @@ def _run_stepped(root, backend, unroll, packages, trace=None):
 
 def block_strip(root, length: int) -> int:
     """Elements in one block-executor strip of a root over `length`
-    elements: one scratch register's, 32768 f32 or 16384 f64, whatever
-    its register count or U*W; a root that takes no register, or a
+    elements: one strip array's, 32768 f32 or 16384 f64, whatever its
+    register count or U*W; a root that makes no strip array, or a
     shorter vector, runs in one strip."""
     if root.registers:
         strip = SCRATCH_BYTES // root.dtype.itemsize
@@ -390,14 +393,13 @@ def block_strip(root, length: int) -> int:
 def _run_block_assign(root):
     length = root.length
     strip = block_strip(root, length)
-    scratch = Scratch()
+    source, dest = root.child, root.dest
     for lo in range(0, length, strip):
         hi = lo + strip
         if hi > length:
             hi = length
-            scratch.clear()  # the ufuncs make the short registers
-        out = scratch.dest = root.dest.write_window(lo, hi)
-        values = root.child.block_op(lo, hi, out, scratch)
+        out = dest.write_window(lo, hi)
+        values = source.block_op(lo, hi, out)
         if values is not out:
             out[...] = values  # a bare leaf source is copied
 
@@ -418,14 +420,13 @@ def _fold(rows, out):
 def _run_block_reduce(root, unroll, width):
     # Lane p of the fold is column p of a strip's rows of `fold` lanes, as
     # it is lane p of the stepped slots. Every strip is folded where its
-    # terms lie: in a leaf's view, which is one strip, or in the root's one
-    # register, the array the child's ufunc makes on the first strip,
-    # passed back as out on the later ones and viewed short on a short last
-    # strip. From the second strip on, the lanes so far are first added
-    # into the strip's first row, so that row is never a leaf's. Strips are
-    # whole rows, as a strip holds a power of two no shorter than a row;
-    # only the last one ends in a part row of masked terms, which adds into
-    # the first lanes, and in the tail.
+    # terms lie: in a leaf's view, which is one strip, or in the array the
+    # child's block_op returns given None, which is never a leaf's view.
+    # From the second strip on, the lanes so far are first added into the
+    # strip's first row, so that row is never a vector's. Strips are whole
+    # rows, as a strip holds a power of two no shorter than a row; only the
+    # last one ends in a part row of masked terms, which adds into the
+    # first lanes, and in the tail.
     length = root.length
     zero = _ZERO[root.dtype]
     if not length:
@@ -440,26 +441,20 @@ def _run_block_reduce(root, unroll, width):
         strip = SCRATCH_BYTES // root.dtype.itemsize
         if strip > length:
             strip = length
-    # a child that takes no register, such as x*y or a leaf, needs no pool
-    # on one strip, where it is given out=None
-    scratch = None
-    if root.child.registers or strip < length:
-        scratch = Scratch()
-        scratch.dest = None
     if n <= block:  # at most one row, so one strip
         lo = 0
-        values = terms(0, length, None, scratch)
+        values = terms(0, length, None)
     else:
         fold = _fold_lanes(block, n)
         part = n % fold  # masked terms past the last whole row of lanes
-        values = lanes = None
+        lanes = None
         for lo in range(0, length, strip):
             hi = lo + strip
             if hi > length:
                 hi = length
-                scratch.clear()
-                values = values[: hi - lo]
-            values = terms(lo, hi, values, scratch)
+            # free the last strip's terms before the child makes the next
+            rows = values = None
+            values = terms(lo, hi, None)
             rows = values[: n - part - lo].reshape(-1, fold)
             if len(rows):  # the last strip may hold only a part row and the tail
                 if lanes is not None:
@@ -490,19 +485,22 @@ def execute_assign(
     packages: int = None,
     stepped: bool = False,
 ) -> None:
-    """Evaluate an assignment tree, writing every destination element once."""
+    """Evaluate an assignment tree, writing every destination element once.
+    `stepped` is True or False; anything else raises TypeError."""
     if not isinstance(root, AssignNode):
         raise TypeError("execute_assign requires an assignment root")
     if plan is not None or backend is not None or unroll is not None or packages is not None:
         # the block executor reads neither; they are checked all the same
         backend, plan = _resolve(root, plan, backend, unroll, packages)
         unroll, packages = plan.unroll, plan.packages
-    elif stepped:
+    elif stepped is not False:
         # the default plan's U and W, and one package, without building it
         backend = default_backend(root.dtype)
         unroll = _default_unroll(root.register_footprint, backend.specialized)
         packages = 1
-    if stepped:
+    if stepped is not False:
+        if stepped is not True:
+            raise TypeError(f"stepped must be True or False, got {stepped!r}")
         return _run_stepped(root, backend, unroll, packages)
     _run_block_assign(root)
 
@@ -516,7 +514,8 @@ def execute_reduce(
     packages: int = None,
     stepped: bool = False,
 ):
-    """Evaluate a reduction tree and return its scalar value."""
+    """Evaluate a reduction tree and return its scalar value. `stepped` is
+    True or False; anything else raises TypeError."""
     if not isinstance(root, SumNode):
         raise TypeError("execute_reduce requires a reduction root")
     if plan is not None or backend is not None or unroll is not None or packages is not None:
@@ -527,7 +526,9 @@ def execute_reduce(
         backend = default_backend(root.dtype)
         unroll = _default_unroll(root.register_footprint, backend.specialized)
         packages = 1
-    if stepped:
+    if stepped is not False:
+        if stepped is not True:
+            raise TypeError(f"stepped must be True or False, got {stepped!r}")
         return _run_stepped(root, backend, unroll, packages)
     return _run_block_reduce(root, unroll, backend.width)
 

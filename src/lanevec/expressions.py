@@ -53,24 +53,29 @@ The block executor drives one call, `block_op`, a strip at a time, and
 only on operands: it does a root's work itself, handing an assignment's
 destination strip down as `out` and folding a reduction's terms.
 
-    block_op(lo, hi, out, scratch)
+    block_op(lo, hi, out)
                           write elements lo..hi-1 into the array `out`
                           with the ufunc's out= and return it; given
-                          None, return the array the ufunc makes; a leaf
+                          None, return an array the node made; a leaf
                           ignores `out` and returns the view its
                           read_block gives
 
-`scratch` is the evaluation's Scratch pool of strip-length registers.
-The register rule keeps exact aliasing safe: a ScaleNode passes its out
-down to its child; a binary node evaluates a non-leaf right child into a
-pool register, and a non-leaf left child into its own out only when that
-out is private scratch, into a register otherwise. The only out that is
-not private is an assignment's destination strip, so nothing writes the
-destination before every leaf has been read. A node counts the
-registers it takes with a private out (`registers`) when it is built, as
-it does its lane register footprint; an assignment root counts them with
-the destination as out, and a reduction root one more, the array its
-child's terms go into, unless they are a leaf's own view.
+A node makes each non-leaf child's strip with out=None and writes a given
+out only with its own last ufunc. Given no out, that ufunc writes into an
+array a child made, the left one first, or makes a new one. A ScaleNode
+hands its out down instead and multiplies its child's result in place,
+after the child's last ufunc. So a non-leaf node never returns a leaf's
+view, and nothing writes an assignment's destination strip, the only out
+an evaluation passes, before every leaf below has been read: exact
+aliasing stays safe.
+
+`registers` is the number of strip arrays a node makes when given an out,
+counted when it is built, as its lane register footprint is. A non-leaf
+child given None makes its own registers, or one if it has none; a leaf
+makes none. A binary node makes its left child's, then holds a non-leaf
+left result while its right child makes its own; a ScaleNode makes its
+child's. An assignment root makes its source's, and a reduction root its
+child's as given None, the array its terms end in, or none for a leaf.
 
 Every node that holds a lane register keeps it in the slot's dict under
 itself, by identity, so nodes, vectors included, must not define __eq__
@@ -78,8 +83,8 @@ or __hash__: a leaf its loaded lanes, a ScaleNode its splat alpha, the
 root its result or accumulator. A binary node holds none and passes the
 dict to both children, so a slot holds at most register_footprint
 registers, and a node object used twice in one tree, such as a vector
-named twice, holds one. The dicts and the block executor's Scratch are
-built fresh per evaluation, so one expression value can be evaluated
+named twice, holds one. The dicts and the block executor's strip arrays
+are made fresh per evaluation, so one expression value can be evaluated
 concurrently from several threads.
 
 A lane register is a W-element NumPy array of the tree's dtype, and no
@@ -101,7 +106,6 @@ from .lanes import _DTYPES
 
 __all__ = [
     "Expression",
-    "Scratch",
     "Leaf",
     "AddNode",
     "SubNode",
@@ -121,18 +125,6 @@ _LARGEST_FINITE = {t: float(np.finfo(t).max) for t in _DTYPES}
 
 class LengthMismatchError(ValueError):
     """Leaves of one expression tree disagree on length."""
-
-
-class Scratch(list):
-    """Registers of one block evaluation: the list holds the strip arrays
-    not in use. A node pops one, or passes None so that its child's ufunc
-    makes it on first use, and appends it back when done, so each is
-    reused on every later strip; the executor clears the list before a
-    short last strip, whose ufuncs then make short registers. `dest` is
-    the destination strip an assignment is writing, the one out that is
-    not private; None in a reduction."""
-
-    __slots__ = ("dest",)
 
 
 def as_node(obj) -> "Expression":
@@ -220,6 +212,11 @@ class Leaf(Expression):
     in-place operators raise TypeError: `x += y` would rebind x to an
     unevaluated node and leave the vector as it was. Other expressions
     keep Python's fallback, which rebinds, since they are immutable.
+
+    A leaf's block_op returns the view its read_block gives and makes no
+    strip array, so it has no `registers`. A parent reads that view and
+    never writes it: only a leaf that is also an assignment's destination
+    is written, through the window the executor hands down as out.
     """
 
     __slots__ = ("vector", "dtype", "length")
@@ -269,7 +266,7 @@ class Leaf(Expression):
     def single_op(self, i):
         return self.read_element(i)
 
-    def block_op(self, lo, hi, out, scratch):
+    def block_op(self, lo, hi, out):
         return self.read_block(lo, hi)
 
     def __repr__(self):
@@ -297,10 +294,12 @@ class _BinaryNode(Expression):
         self.left = left
         self.right = right
         self.register_footprint = left.register_footprint + right.register_footprint
-        # the left result waits in out while the right one fills a register
-        regs = left.registers
-        if not isinstance(right, Leaf) and right.registers >= regs:
-            regs = right.registers + 1
+        regs = 0 if isinstance(left, Leaf) else left.registers or 1
+        if not isinstance(right, Leaf):
+            # a non-leaf left result waits while the right child makes its own
+            held = (regs > 0) + (right.registers or 1)
+            if held > regs:
+                regs = held
         self.registers = regs
 
     def leaves(self):
@@ -321,26 +320,22 @@ class _BinaryNode(Expression):
     def single_op(self, i):
         return self._combine(self.left.single_op(i), self.right.single_op(i))
 
-    def block_op(self, lo, hi, out, scratch):
-        # Registers are taken in evaluation order, as `registers` counts
-        # them. A leaf's view is read here, without its own block_op call.
+    def block_op(self, lo, hi, out):
+        # A leaf's view is read here, without its own block_op call.
         left, right = self.left, self.right
-        held = None
         if isinstance(left, Leaf):
             a = left.read_block(lo, hi)
-        elif out is None or out is not scratch.dest:
-            a = out = left.block_op(lo, hi, out, scratch)
         else:
-            a = held = left.block_op(lo, hi, scratch.pop() if scratch else None, scratch)
+            a = left.block_op(lo, hi, None)
+            if out is None:
+                out = a
         if isinstance(right, Leaf):
-            out = self._ufunc(a, right.read_block(lo, hi), out=out)
+            b = right.read_block(lo, hi)
         else:
-            b = right.block_op(lo, hi, scratch.pop() if scratch else None, scratch)
-            out = self._ufunc(a, b, out=out)
-            scratch.append(b)
-        if held is not None:
-            scratch.append(held)
-        return out
+            b = right.block_op(lo, hi, None)
+            if out is None:
+                out = b
+        return self._ufunc(a, b, out=out)
 
     def __repr__(self):
         return f"({self.left!r} {self._symbol} {self.right!r})"
@@ -369,10 +364,11 @@ class MulNode(_BinaryNode):
 
 class _UnaryNode:
     """One subtree plus a lane register of its own, kept in the slot's dict
-    under the node; load_once and load pass through to the child. It takes its
-    child's scratch registers: a ScaleNode passes its out down, and a root
-    hands the child its own out. The base of ScaleNode and of the roots,
-    which are not operands; each of them sets the five fields itself."""
+    under the node; load_once and load pass through to the child. It makes
+    its child's strip arrays: a ScaleNode passes its out down, and a root
+    hands the child the destination strip or None. The base of ScaleNode
+    and of the roots, which are not operands; each of them sets the five
+    fields itself."""
 
     __slots__ = ("child", "dtype", "length", "register_footprint", "registers")
 
@@ -427,11 +423,11 @@ class ScaleNode(_UnaryNode, Expression):
     def single_op(self, i):
         return self.alpha * self.child.single_op(i)
 
-    def block_op(self, lo, hi, out, scratch):
+    def block_op(self, lo, hi, out):
         child = self.child
         if isinstance(child, Leaf):
             return np.multiply(self.alpha, child.read_block(lo, hi), out=out)
-        v = child.block_op(lo, hi, out, scratch)
+        v = child.block_op(lo, hi, out)
         return np.multiply(self.alpha, v, out=v)
 
     def __repr__(self):
@@ -467,8 +463,9 @@ class AssignNode(_Root):
     the operation burst and the store burst. The block executor calls no
     method of this root: it hands the destination's writable window of
     each strip to the source's `block_op` as out, and copies a bare leaf
-    source into it; the register rule keeps that write after every read
-    of the strip.
+    source into it. The source writes that out only with its last ufunc,
+    after every read of the strip, and makes `registers` strip arrays of
+    its own.
     """
 
     __slots__ = ("dest",)
@@ -485,14 +482,7 @@ class AssignNode(_Root):
             _check_agree(dest, source, "assignment")
         self.dest = dest
         self.register_footprint = 1 + source.register_footprint
-        registers = source.registers
-        # With the destination as out, the first binary node below any
-        # scale nodes keeps a non-leaf left result in a register of its own.
-        while type(source) is ScaleNode:
-            source = source.child
-        if isinstance(source, _BinaryNode) and not isinstance(source.left, Leaf):
-            registers += 1
-        self.registers = registers
+        self.registers = source.registers
 
     source = property(operator.attrgetter("child"))
 
@@ -529,13 +519,15 @@ class SumNode(_Root):
 
     The contract calls here are the stepped executor's; the block executor
     keeps the accumulators itself. It folds every strip's terms, as rows
-    of L lanes, in the array the child's `block_op` writes them to, after
-    adding the lanes so far into the strip's first row. That array is one
-    of the root's `registers`, reused on every strip, unless the child is a
-    leaf, whose terms are its own view and one strip. The masked terms end
-    in a row of fewer than L lanes when U*W < L; they add into the first
-    lanes. The tail is the end of the last strip, the terms past the
-    masked length, added in order without another call down the tree.
+    of L lanes, in the array the child's `block_op` returns given None,
+    after adding the lanes so far into the strip's first row. That array
+    is one the child made, never a leaf's view, so the add writes no
+    vector; the child makes it afresh on every strip, after the previous
+    strip's is freed. A leaf child's terms are its own view, on one strip,
+    and take no register. The masked terms end in a row of fewer than L
+    lanes when U*W < L; they add into the first lanes. The tail is the end
+    of the last strip, the terms past the masked length, added in order
+    without another call down the tree.
     When the masked terms are one row, each lane holds one term, so the
     row is added in one in-order pass without a fold.
     """
@@ -549,8 +541,9 @@ class SumNode(_Root):
         self.dtype = child.dtype
         self.length = child.length
         self.register_footprint = 1 + child.register_footprint
-        # the array the child's terms go into, unless it is a leaf's view
-        self.registers = child.registers + (not isinstance(child, Leaf))
+        # the child given None, whose terms end in one of its arrays; a
+        # leaf's are its own view
+        self.registers = 0 if isinstance(child, Leaf) else child.registers or 1
 
     def init(self, ts):
         ts[self] = self.dtype.type(0)

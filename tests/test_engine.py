@@ -45,13 +45,14 @@ def make_dot(x, y):
 
 
 def wide_trees(x, y, z, w):
-    """Sources that take 1, 2, 3 and 4 scratch registers when assigned:
-    x + 0.5*y, a product of two sums, t3 and spill."""
+    """Sources that make 1, 2, 2, 3 and 4 strip arrays when assigned:
+    x + 0.5*y, a product of two sums, t3, a sum times a product of two
+    differences, and spill."""
     a, b = 0.5, -1.5
     t3 = (x + y) * (z - a * w)
     spill = ((x + y) * (z - w) + (x * z - y * w)) * ((y + z) * (w - x) - (a * x + b * w))
     return {"x + 0.5*y": x + a * y, "(x+y)*(z-w)": (x + y) * (z - w), "t3": t3,
-            "spill": spill}
+            "(x+y)*((z-w)*(x-z))": (x + y) * ((z - w) * (x - z)), "spill": spill}
 
 
 # reductions over a pair of vectors: a product tree, and a bare leaf
@@ -60,7 +61,7 @@ REDUCTIONS = {"dot": make_dot, "sum": lambda x, y: SumNode(as_node(x))}
 
 def assign_strip_of(source, dtype="f32"):
     """Elements in one block-executor strip of `d.assign(source)` on long
-    vectors, for a source that takes scratch registers."""
+    vectors, for a source that makes strip arrays."""
     root = AssignNode(as_node(DenseVector.zeros(1, dtype)), source)
     strip = block_strip(root, 1 << 40)
     assert root.registers > 0 and strip < 1 << 40
@@ -68,7 +69,7 @@ def assign_strip_of(source, dtype="f32"):
 
 
 def axpy_strip(dtype="f32"):
-    """The strip of `d.assign(x + 0.75*y)`, which takes one scratch register."""
+    """The strip of `d.assign(x + 0.75*y)`, which makes one strip array."""
     v = as_node(DenseVector.zeros(1, dtype))
     return assign_strip_of(v + ScaleNode(0.75, v), dtype)
 
@@ -313,6 +314,28 @@ def test_bad_override_inputs_get_the_right_error(kind, stepped):
     with pytest.raises(TypeError, match="backend"):
         run(backend="x")
     assert y.to_array().tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("stepped", ["no", "", 1, 0, None, np.True_, np.False_])
+def test_stepped_takes_only_true_or_false(stepped):
+    """A value of stepped that is not True or False, truthy or not, raises
+    TypeError through every entry point that passes it on, with overrides
+    or without, and writes no element."""
+    x, y = fresh_pair(20)
+    out = DenseVector.zeros(20)
+    before = [v.to_array().tobytes() for v in (x, y, out)]
+    calls = [
+        lambda **o: dot(x, y, **o), lambda **o: vec_sum(x, **o), lambda **o: norm2(x, **o),
+        lambda **o: scal(2.0, x, **o), lambda **o: axpy(2.0, x, y, **o),
+        lambda **o: scaled_copy(2.0, x, out, **o), lambda **o: out.assign(x + y, **o),
+        lambda **o: execute_assign(make_axpy(2.0, x, y), **o),
+        lambda **o: execute_reduce(make_dot(x, y), **o),
+    ]
+    for call in calls:
+        for options in ({}, {"unroll": 2}):
+            with pytest.raises(TypeError, match="stepped"):
+                call(stepped=stepped, **options)
+    assert [v.to_array().tobytes() for v in (x, y, out)] == before
 
 
 # ---------------------------------------------------------------- values
@@ -566,9 +589,9 @@ def test_block_reduction_walks_its_tree_once_per_strip(dtype, monkeypatch):
     def spy_on(cls):
         block_op = cls.block_op
 
-        def spy(self, lo, hi, out, scratch):
+        def spy(self, lo, hi, out):
             calls.append((lo, hi))
-            return block_op(self, lo, hi, out, scratch)
+            return block_op(self, lo, hi, out)
 
         return spy
 
@@ -591,9 +614,9 @@ def test_block_reduction_walks_its_tree_once_per_strip(dtype, monkeypatch):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_every_scratch_register_holds_scratch_bytes(dtype):
-    """A root's strip is one register of SCRATCH_BYTES, whatever its
-    register count or U*W; a reduction counts the array its terms go into
-    as a register, unless they are a leaf's own view."""
+    """A root's strip is one array of SCRATCH_BYTES, whatever its register
+    count or U*W; a reduction counts the array its terms end in as a
+    register, unless they are a leaf's own view."""
     itemsize = as_dtype(dtype).itemsize
     strip = SCRATCH_BYTES // itemsize
     # whole iterations of the widest plan, so no strip ends in a part row
@@ -601,12 +624,12 @@ def test_every_scratch_register_holds_scratch_bytes(dtype):
     v = DenseVector.zeros(1, dtype)
     trees = wide_trees(v, v, v, v)
     registers = [AssignNode(v, tree).registers for tree in trees.values()]
-    assert registers == [1, 2, 3, 4]
+    assert registers == [1, 2, 2, 3, 4]
     for name, tree in trees.items():
         assert block_strip(AssignNode(v, tree), 1 << 40) == strip, name
     sums = {"sum": SumNode(v), "dot": make_dot(v, v), "t3": SumNode(trees["t3"]),
-            "spill": SumNode(trees["spill"])}
-    assert [root.registers for root in sums.values()] == [0, 1, 3, 4]
+            "wide3": SumNode(trees["(x+y)*((z-w)*(x-z))"]), "spill": SumNode(trees["spill"])}
+    assert [root.registers for root in sums.values()] == [0, 1, 2, 3, 4]
     assert block_strip(sums.pop("sum"), 1 << 40) == 1 << 40
     for name, root in sums.items():
         assert block_strip(root, 1 << 40) == strip, name
@@ -616,7 +639,7 @@ def test_every_scratch_register_holds_scratch_bytes(dtype):
     rng = np.random.default_rng([7, n])
     x, y, z, w = (DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for _ in range(4))
     trees = wide_trees(x, y, z, w)
-    for name in ("t3", "spill"):
+    for name in ("t3", "(x+y)*((z-w)*(x-z))", "spill"):
         d_block, d_step = DenseVector.zeros(n, dtype), DenseVector.zeros(n, dtype)
         execute_assign(AssignNode(d_block, trees[name]))
         execute_assign(AssignNode(d_step, trees[name]), stepped=True)
@@ -1002,10 +1025,9 @@ def test_one_tree_evaluated_from_four_threads(stepped):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_block_executor_makes_no_full_length_temporary(dtype):
     strip = SCRATCH_BYTES // as_dtype(dtype).itemsize
-    # Many whole strips; then two and a short last one, before which the
-    # pool is cleared, so that its ufuncs make short registers: a pool
-    # still holding its registers then, or a register grown again to a
-    # whole strip, breaks the register bound.
+    # Many whole strips; then two and a short last one, whose ufuncs make
+    # short arrays: a strip's arrays kept alive while the next strip makes
+    # its own break the register bound.
     for n in (1 << 20, 2 * strip + 7):
         rng = np.random.default_rng(11)
         x, y, z, w = (
@@ -1053,11 +1075,11 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
             if many:
                 assert peak < operand // 4, where
             if root is not None:
-                # one strip-length array per scratch register, a reduction's
-                # terms array included, and a few KiB of Python objects
+                # one strip-length array per register, a reduction's terms
+                # array included, and a few KiB of Python objects
                 assert peak <= root.registers * SCRATCH_BYTES + 4096, where
             if name in ("scal", "scaled_copy"):
-                # no scratch register: the multiply writes the destination,
+                # no strip array: the multiply writes the destination,
                 # so only a few Python objects are allocated
                 assert peak <= 4096, where
 

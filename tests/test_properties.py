@@ -10,10 +10,12 @@ At the short length the tree is also built with each repeated subtree,
 leaves included, as one node object used at every occurrence. An
 assignment must be bit identical to the same NumPy expression in the
 element type; a reduction must equal its terms (that NumPy expression)
-summed in the documented order.
+summed in the documented order. Each root's `registers` must equal the
+arrays one strip makes, and bound the memory of the long runs.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,12 +25,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from lanevec.engine import (  # noqa: E402
+    SCRATCH_BYTES,
     UnrollPlan,
     block_strip,
+    execute_assign,
     execute_reduce,
     masked_length,
 )
-from lanevec.expressions import AssignNode, Leaf, Scratch, SumNode, as_node  # noqa: E402
+from lanevec.expressions import AssignNode, Leaf, SumNode, as_node  # noqa: E402
 from lanevec.lanes import as_dtype, scalar_backend, wide_backend  # noqa: E402
 from lanevec.vectors import DenseVector  # noqa: E402
 
@@ -39,6 +43,9 @@ BACKENDS = (scalar_backend, wide_backend)
 # A root that needs no register runs in one strip at any length; it is
 # run at twice this length plus the tail.
 REGISTER_FREE_STRIP = 2048
+# Elements of the strip whose arrays registers_taken counts: long enough
+# that a strip array outweighs the Python objects a strip makes.
+COUNTED_STRIP = 4096
 
 
 def trees(levels):
@@ -120,28 +127,42 @@ def documented_sum(terms, unroll, width):
     return total + remainder
 
 
-def registers_taken(root, n):
-    """Scratch registers one block strip of n elements makes: all are back
-    in the pool when it ends, with a reduction's terms array, which a
-    non-leaf child is handed and a leaf's view stands in for. An
-    assignment's strip is the engine's: the destination window as out."""
-    scratch = Scratch()
-    if isinstance(root, AssignNode):
-        out = scratch.dest = root.dest.write_window(0, n)
-        root.child.block_op(0, n, out, scratch)
-    else:
-        scratch.dest = None
-        terms = None if isinstance(root.child, Leaf) else np.empty(n, root.dtype)
-        root.child.block_op(0, n, terms, scratch)
-        if terms is not None:
-            scratch.append(terms)
-    return len(scratch)
+def traced(call, on=True):
+    """call()'s value, and the tracemalloc peak in bytes it reached, or 0
+    when not on."""
+    if not on:
+        return call(), 0
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def registers_taken(root):
+    """Arrays one block strip over all of root's elements makes: its
+    tracemalloc peak in whole strips' bytes. An assignment's strip is the
+    engine's, with the destination window as out; a reduction's child is
+    given None, and its terms are the array it returns, or a leaf's view."""
+    n = root.length
+    out = root.dest.write_window(0, n) if isinstance(root, AssignNode) else None
+    return traced(lambda: root.child.block_op(0, n, out))[1] // (n * root.dtype.itemsize)
 
 
 def check_tree(tree, dtype, n, rng, stepped_too):
+    """The tree's assignment and reduction over n elements against NumPy.
+    A non-leaf tree given None returns an array of its own. Without
+    stepped_too every run is a block one over several strips, and its
+    tracemalloc peak stays within the root's registers in strip arrays."""
     values = {k: rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n) for k in LEAVES}
     arrays = {k: v.astype(dtype) for k, v in values.items()}
     expected = numpy_value(tree, arrays, dtype)
+    vectors = {k: DenseVector.from_values(a, dtype) for k, a in arrays.items()}
+    child = build(tree, vectors)
+    if not isinstance(child, Leaf):
+        # so the reduction's in-place add into its terms writes no vector
+        terms = child.block_op(0, n, None)
+        assert not any(np.shares_memory(terms, v.read_block(0, n)) for v in vectors.values())
     runs = [(False, 1)]
     builders = (build, build_shared) if stepped_too else (build,)
     for backend_of in BACKENDS:
@@ -153,14 +174,20 @@ def check_tree(tree, dtype, n, rng, stepped_too):
             for (stepped, packages), make in itertools.product(runs, builders):
                 opts = dict(backend=backend, unroll=unroll, packages=packages)
                 vectors = {k: DenseVector.from_values(a, dtype) for k, a in arrays.items()}
-                vectors["d"].assign(make(tree, vectors), stepped=stepped, **opts)
+                root = AssignNode(vectors["d"], make(tree, vectors))
                 where = (tree, n, backend.width, unroll, packages, stepped, make.__name__)
+                _, peak = traced(lambda: execute_assign(root, stepped=stepped, **opts),
+                                 on=not stepped_too)
                 assert vectors["d"].to_array().tobytes() == expected.tobytes(), where
+                assert peak <= root.registers * SCRATCH_BYTES + 4096, (where, peak)
 
                 vectors = {k: DenseVector.from_values(a, dtype) for k, a in arrays.items()}
-                got = execute_reduce(SumNode(make(tree, vectors)), stepped=stepped, **opts)
+                root = SumNode(make(tree, vectors))
+                got, peak = traced(lambda: execute_reduce(root, stepped=stepped, **opts),
+                                   on=not stepped_too)
                 want = documented_sum(expected, unroll, backend.width)
                 assert got.tobytes() == want.tobytes(), where
+                assert peak <= root.registers * SCRATCH_BYTES + 4096, (where, peak)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -172,7 +199,7 @@ def check_tree(tree, dtype, n, rng, stepped_too):
 )
 def test_random_trees_match_numpy(tree, dtype, tail, short):
     dtype = as_dtype(dtype)
-    probe = {k: DenseVector.zeros(1, dtype) for k in LEAVES}
+    probe = {k: DenseVector.zeros(COUNTED_STRIP, dtype) for k in LEAVES}
     root = AssignNode(as_node(probe["d"]), build(tree, probe))
     reduction = SumNode(build(tree, probe))
     strip = block_strip(root, 1 << 40) if root.registers else REGISTER_FREE_STRIP
@@ -180,8 +207,8 @@ def test_random_trees_match_numpy(tree, dtype, tail, short):
     # two assignment strips and two reduction strips, plus a tail
     long = 2 * max(strip, long_strip) + tail
     rng = np.random.default_rng([short, tail])
-    # the counts made when the nodes were built are the registers used
-    assert registers_taken(root, 1) == root.registers
-    assert registers_taken(reduction, 1) == reduction.registers
+    # the counts made when the nodes were built are the arrays a strip makes
+    assert registers_taken(root) == root.registers
+    assert registers_taken(reduction) == reduction.registers
     check_tree(tree, dtype, long, rng, stepped_too=False)
     check_tree(tree, dtype, short, rng, stepped_too=True)
