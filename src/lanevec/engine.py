@@ -59,16 +59,22 @@ the last strip:
   remainder is its value. A vector of one row and a tail, U*W <= n <
   2*U*W, would fold the row into U*W lanes of one term each and add them
   in lane order; one accumulate over the row gives those bits, with no
-  fold and no combine_partials.
+  fold and no combine_partials. So does one accumulate over the terms of
+  one lane, as a plan with U*W = 1 keeps below 512 terms: the lane's sum S
+  would be folded to S + 0 and the remainder R added, and (S + 0) + R is
+  S + R, since R is never -0.
 
 A call builds only what its executor reads. The element count is the
-root's `length`, checked when the tree was built. With no plan, backend,
-unroll or packages, neither executor builds a plan: a block assignment's
-strips read neither a plan nor a backend, and a block reduction or a
-stepped=True call reads only U, from select_plan's unroll rule memoized
-per footprint, and W, from the default backend; the stepped one runs one
-package. Any of those overrides, and call_trace, pass through _resolve,
-which checks the plan against the tree and the backend before anything
+root's `length`, checked when the tree was built. A default block call,
+one with no plan, backend, unroll or packages, runs from its entry point
+and builds no plan: an assignment's strips read neither a plan nor a
+backend, and a reduction reads only U, from select_plan's unroll rule,
+and W, from the default backend, both memoized per element type and
+footprint. Every other call, stepped=True and call_trace included, goes
+through _evaluate, which checks `stepped` and picks the executor. It
+takes its backend, U and packages from _resolve: without an override,
+the same default numbers and one package, with no plan built; with one,
+the plan's, checked against the tree and the backend before anything
 runs.
 
 The stepped executor keeps the same L lanes as c = L/(U*W) groups of U
@@ -254,11 +260,10 @@ def _check_backend(backend) -> None:
         raise TypeError(f"backend must be a LaneBackend, got {type(backend).__name__}")
 
 
-# Footprints in use are few; the bound only caps a process that makes many.
+# Footprints in use are few; the bounds only cap a process that makes many.
 @functools.lru_cache(maxsize=256)
 def _default_unroll(footprint: int, specialized: bool) -> int:
-    """select_plan's default unroll factor, memoized, so that a default
-    evaluation reads it without building a plan."""
+    """select_plan's default unroll factor, memoized."""
     unroll = 1
     if specialized:
         for u in UNROLL_FACTORS:
@@ -267,12 +272,25 @@ def _default_unroll(footprint: int, specialized: bool) -> int:
     return unroll
 
 
+@functools.lru_cache(maxsize=256)
+def _default_numbers(dtype, footprint: int):
+    """The default plan's backend, unroll and packages for a tree of this
+    element type and register footprint, memoized, so that a default
+    evaluation reads them without building a plan."""
+    backend = default_backend(dtype)
+    return backend, _default_unroll(footprint, backend.specialized), 1
+
+
 TraceEvent = namedtuple("TraceEvent", ["kind", "index", "slot"])
 
 
 def _resolve(root, plan, backend, unroll, packages):
-    """The backend and plan of a call that passes overrides or runs
-    stepped, each checked against the tree and the other."""
+    """The backend, unroll and packages of a call that is not a default
+    block call. With no override they are the default plan's numbers, and
+    no plan is built; an override is checked against the tree and the
+    others before anything runs."""
+    if plan is None and backend is None and unroll is None and packages is None:
+        return _default_numbers(root.dtype, root.register_footprint)
     length = root.length
     if backend is None:
         backend = default_backend(root.dtype)
@@ -305,16 +323,16 @@ def _resolve(root, plan, backend, unroll, packages):
                 f"plan was built for a different length (masked {plan.masked_length}, "
                 f"vector length {length})"
             )
-    return backend, plan
+    return backend, plan.unroll, plan.packages
 
 
 def _run_stepped(root, backend, unroll, packages, trace=None):
     """The stepped executor: drive the node contract call by call, in
     `unroll` slots of the backend's width, each iteration in `packages`
     bursts, up to root.length rounded down to a multiple of U*W, then
-    single_op on the tail. It takes the plan's numbers, not a plan, so a
-    default call builds none; _resolve has checked any override, and
-    call_trace passes `trace`, a list the events go into."""
+    single_op on the tail. It takes the plan's numbers from _resolve, not
+    a plan, so a call without overrides, call_trace's included, builds
+    none; call_trace passes `trace`, a list the events go into."""
     length = root.length
     width = backend.width
     block = unroll * width
@@ -405,16 +423,12 @@ def _run_block_assign(root):
 
 
 def _fold(rows, out):
-    """The lanes of `rows`, one per column, each added down them from its
-    first term, into `out`, or into a new array if it is None."""
-    if rows.shape[1] > 1:
-        # no initial=0, which costs about 1 us: a lane of -0 terms then
-        # holds -0, which the remainder, never -0 and added last, makes +0
-        return np.add.reduce(rows, axis=0, out=out)
-    # A (k, 1) array collapses to 1-D, where add.reduce sums pairwise, so
-    # the one lane is accumulated; a reduction folds in one lane only below
-    # 512 terms, so the accumulate's temporary stays short.
-    return np.add(np.add.accumulate(rows)[-1], _ZERO[rows.dtype], out=out)
+    """The lanes of `rows`, one per column, at least two, each added down
+    them from its first term, into `out`, or into a new array if it is
+    None."""
+    # no initial=0, which costs about 1 us: a lane of -0 terms then holds
+    # -0, which the remainder, never -0 and added last, makes +0
+    return np.add.reduce(rows, axis=0, out=out)
 
 
 def _run_block_reduce(root, unroll, width):
@@ -431,21 +445,17 @@ def _run_block_reduce(root, unroll, width):
     zero = _ZERO[root.dtype]
     if not length:
         return zero  # the remainder's +0, and no walk of the tree
-    # masked_length and block_strip, inline: a call to either costs more
-    # than its one line on a short vector
     block = unroll * width
-    n = length & -block
+    n = length & -block  # masked_length, inline: a call costs more than its line
     terms = root.child.block_op
-    strip = length
-    if root.registers:
-        strip = SCRATCH_BYTES // root.dtype.itemsize
-        if strip > length:
-            strip = length
-    if n <= block:  # at most one row, so one strip
+    # At most one row, or one lane (U*W = 1 folds in one below 512 terms):
+    # one strip, whose masked terms add in one in-order pass.
+    fold = n > block and _fold_lanes(block, n)
+    if fold < 2:
         lo = 0
         values = terms(0, length, None)
     else:
-        fold = _fold_lanes(block, n)
+        strip = block_strip(root, length)
         part = n % fold  # masked terms past the last whole row of lanes
         lanes = None
         for lo in range(0, length, strip):
@@ -467,13 +477,28 @@ def _run_block_reduce(root, unroll, width):
     remainder = zero
     if length > n:
         remainder = zero + np.add.accumulate(values[n - lo :])[-1]
-    if n > block:
+    if fold > 1:
         return combine_partials(lanes, remainder)
     if not n:  # no row, so the remainder is the sum
         return remainder
-    # One row folds into lanes that each hold one term, and combine_partials
-    # adds them in lane order: one accumulate over the row does both.
+    # Lanes of one term each, or one lane, would be added in lane order by
+    # combine_partials: one accumulate over the masked terms does both, and
+    # its S + R is the one lane's (S + 0) + R, since R is never -0.
     return np.add.accumulate(values[:n])[-1] + remainder
+
+
+def _evaluate(root, plan, backend, unroll, packages, stepped, trace=None):
+    """Run a call that is not a default block call on the executor that
+    `stepped` names, True or False; anything else raises TypeError. Only
+    the stepped executor records into `trace`."""
+    backend, unroll, packages = _resolve(root, plan, backend, unroll, packages)
+    if stepped is True:
+        return _run_stepped(root, backend, unroll, packages, trace)
+    if stepped is not False:
+        raise TypeError(f"stepped must be True or False, got {stepped!r}")
+    if isinstance(root, SumNode):
+        return _run_block_reduce(root, unroll, backend.width)
+    return _run_block_assign(root)
 
 
 def execute_assign(
@@ -489,20 +514,11 @@ def execute_assign(
     `stepped` is True or False; anything else raises TypeError."""
     if not isinstance(root, AssignNode):
         raise TypeError("execute_assign requires an assignment root")
-    if plan is not None or backend is not None or unroll is not None or packages is not None:
-        # the block executor reads neither; they are checked all the same
-        backend, plan = _resolve(root, plan, backend, unroll, packages)
-        unroll, packages = plan.unroll, plan.packages
-    elif stepped is not False:
-        # the default plan's U and W, and one package, without building it
-        backend = default_backend(root.dtype)
-        unroll = _default_unroll(root.register_footprint, backend.specialized)
-        packages = 1
-    if stepped is not False:
-        if stepped is not True:
-            raise TypeError(f"stepped must be True or False, got {stepped!r}")
-        return _run_stepped(root, backend, unroll, packages)
-    _run_block_assign(root)
+    if stepped is False and plan is None and backend is None and unroll is None and packages is None:
+        return _run_block_assign(root)
+    # the block executor reads no plan or backend; an override is checked
+    # all the same
+    return _evaluate(root, plan, backend, unroll, packages, stepped)
 
 
 def execute_reduce(
@@ -518,19 +534,10 @@ def execute_reduce(
     True or False; anything else raises TypeError."""
     if not isinstance(root, SumNode):
         raise TypeError("execute_reduce requires a reduction root")
-    if plan is not None or backend is not None or unroll is not None or packages is not None:
-        backend, plan = _resolve(root, plan, backend, unroll, packages)
-        unroll, packages = plan.unroll, plan.packages
-    else:
-        # the default plan's U and W, and one package, without building it
-        backend = default_backend(root.dtype)
-        unroll = _default_unroll(root.register_footprint, backend.specialized)
-        packages = 1
-    if stepped is not False:
-        if stepped is not True:
-            raise TypeError(f"stepped must be True or False, got {stepped!r}")
-        return _run_stepped(root, backend, unroll, packages)
-    return _run_block_reduce(root, unroll, backend.width)
+    if stepped is False and plan is None and backend is None and unroll is None and packages is None:
+        backend, unroll, _ = _default_numbers(root.dtype, root.register_footprint)
+        return _run_block_reduce(root, unroll, backend.width)
+    return _evaluate(root, plan, backend, unroll, packages, stepped)
 
 
 def call_trace(
@@ -549,11 +556,11 @@ def call_trace(
     slot the unroll slot, None where not applicable. load_once runs once
     per slot: U times, or, for a reduction whose plan folds in c =
     fold_lanes/(U*W) > 1 groups of slots, c*U times, slots 0..U-1 of each
-    group in turn.
+    group in turn. Without overrides it runs the default plan's numbers
+    and builds no plan, as stepped=True does.
     """
     if not isinstance(root, (AssignNode, SumNode)):
         raise TypeError("call_trace requires an assignment or reduction root")
     trace = []
-    backend, plan = _resolve(root, plan, backend, unroll, packages)
-    _run_stepped(root, backend, plan.unroll, plan.packages, trace)
+    _evaluate(root, plan, backend, unroll, packages, True, trace)
     return trace

@@ -528,8 +528,11 @@ class SumNode(_Root):
     lanes when U*W < L; they add into the first lanes. The tail is the end
     of the last strip, the terms past the masked length, added in order
     without another call down the tree.
-    When the masked terms are one row, each lane holds one term, so the
-    row is added in one in-order pass without a fold.
+    When the masked terms are one row, each lane holds one term; when the
+    plan has one lane (U*W = 1, below 512 terms), it holds them all. Either
+    way they are added in one in-order pass, without a fold or
+    combine_partials: that one lane's fold would give S + 0, and (S + 0) +
+    R is S + R, since the remainder R is never -0.
     """
 
     __slots__ = ()

@@ -132,7 +132,7 @@ def horizontal_sum(v: np.ndarray):
 
 # Not public: only the lanes.horizontal_sum probe in perfbench/layers.py
 # calls lv.LaneVector(rows[0]). It goes when the probes move to the public
-# API, with the other names only they use (ROADMAP item 6).
+# API, with the other names only they use (ROADMAP item 3).
 LaneVector = np.asarray
 
 

@@ -218,7 +218,8 @@ def test_default_block_assignments_build_no_plan_or_backend(dtype, monkeypatch):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_default_stepped_calls_build_no_plan(dtype, monkeypatch):
     """A stepped call without overrides reads the default plan's U and W
-    without building it, and returns the block executor's result."""
+    without building it, and returns the block executor's result; so does
+    call_trace, whose events are those of the default plan's."""
     block = select_plan(3, 0, default_backend(dtype)).block  # dot's U*W
     a = 0.75
     for n in (0, 3, block, 300):
@@ -239,6 +240,13 @@ def test_default_stepped_calls_build_no_plan(dtype, monkeypatch):
             results.append([r.tobytes() for r in got] + [
                 v.to_array().tobytes() for v in (y, z, w, d)])
         assert results[0] == results[1], n
+        for root in (make_dot(x, y), make_axpy(a, x, y)):
+            plan = select_plan(root.register_footprint, n, default_backend(dtype))
+            want = call_trace(root, plan)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "select_plan", _unread)
+                m.setattr(engine, "UnrollPlan", _unread)
+                assert call_trace(root) == want, (type(root).__name__, n)
 
 
 def _quad(x, y, z, w):
@@ -816,15 +824,18 @@ def test_block_and_stepped_agree_at_every_short_length(dtype):
 
 
 def _never_called(*args, **kwargs):
-    raise AssertionError("a reduction shorter than U*W folded its lanes")
+    raise AssertionError("a reduction of at most one row or one lane folded its lanes")
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_reduction_shorter_than_a_row_folds_nothing(dtype, monkeypatch):
     """At 0 < n < U*W there is no row, so the block executor returns the
     tail's remainder without a fold or combine_partials; at n = U*W the
-    one row is added in one accumulate, without a fold, and at n = 2*U*W
-    it calls both."""
+    one row is added in one accumulate, without either, and at n = 2*U*W
+    it calls both. A plan with U*W = 1 folds in one lane below 512 terms
+    and adds them in that same one accumulate: at n = 2 and 511 neither
+    runs, and at 512 both do. Every one-pass sum has the stepped bits, and
+    a sum of -0 terms is +0."""
     calls = []
 
     def spy(f):
@@ -834,27 +845,24 @@ def test_reduction_shorter_than_a_row_folds_nothing(dtype, monkeypatch):
 
         return counted
 
-    configs = [{}, dict(backend=scalar_backend(dtype), unroll=8)]
+    configs = [{}] + [dict(backend=scalar_backend(dtype), unroll=u) for u in (8, 1)]
     for name, make in TAIL_ROOTS.items():
         for opts in configs:
             block = row_of(make, dtype, opts)
-            for n in (1, block - 1):
-                vectors = tail_vectors(n, dtype, "uniform")
-                want = execute_reduce(make(*vectors), stepped=True, **opts)
-                with monkeypatch.context() as m:
-                    m.setattr(engine, "_fold", _never_called)
-                    m.setattr(engine, "combine_partials", _never_called)
-                    got = execute_reduce(make(*vectors), **opts)
-                assert got.tobytes() == want.tobytes(), (name, block, n)
+            one_pass, folds = ((1, block - 1, block), 2 * block) if block > 1 else ((2, 511), 512)
+            for n in one_pass:
+                for case in ("uniform", "-0.0"):
+                    vectors = tail_vectors(n, dtype, case)
+                    want = execute_reduce(make(*vectors), stepped=True, **opts)
+                    with monkeypatch.context() as m:
+                        m.setattr(engine, "_fold", _never_called)
+                        m.setattr(engine, "combine_partials", _never_called)
+                        got = execute_reduce(make(*vectors), **opts)
+                    assert got.tobytes() == want.tobytes(), (name, block, n, case)
+                    if case == "-0.0":
+                        assert got == 0 and not np.signbit(got), (name, block, n)
 
-            vectors = tail_vectors(block, dtype, "uniform")
-            want = execute_reduce(make(*vectors), stepped=True, **opts)
-            with monkeypatch.context() as m:
-                m.setattr(engine, "_fold", _never_called)
-                got = execute_reduce(make(*vectors), **opts)
-            assert got.tobytes() == want.tobytes(), (name, block)
-
-            vectors = tail_vectors(2 * block, dtype, "uniform")
+            vectors = tail_vectors(folds, dtype, "uniform")
             want = execute_reduce(make(*vectors), stepped=True, **opts)
             calls.clear()
             with monkeypatch.context() as m:
