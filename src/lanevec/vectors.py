@@ -40,10 +40,14 @@ class DenseVector(Leaf):
     and ValueError for any other shape or layout. Zero-length vectors are
     legal and every loop degenerates cleanly over them. The vector is the
     Leaf node of every expression over it, and `assign` evaluates one
-    into it through the engine; CountingVector inherits it. Its stepped
-    executor calls, load and single_op, read the storage directly, not
-    through read_block and read_element as Leaf's do. It is a key in slot
-    dicts, so it must not define __eq__ or __hash__.
+    into it through the engine, taking the engine's options as keyword-only
+    parameters; CountingVector inherits it. read_block and write_window
+    return the storage array itself for the whole vector, the window of
+    every block call that runs in one strip, and a view for any other
+    window. Its stepped executor calls, load and single_op, read the
+    storage directly, not through read_block and read_element as Leaf's
+    do. It is a key in slot dicts, so it must not define __eq__ or
+    __hash__.
     """
 
     __slots__ = ("_data",)
@@ -61,9 +65,12 @@ class DenseVector(Leaf):
 
     vector = property(lambda self: self, doc="The vector itself (see Leaf).")
 
-    def assign(self, expression, **plan_kwargs) -> None:
-        """Evaluate a lazy expression into this vector in one fused pass."""
-        execute_assign(AssignNode(self, expression), **plan_kwargs)
+    def assign(self, expression, *, plan=None, backend=None, unroll=None, packages=None,
+               stepped=False) -> None:
+        """Evaluate a lazy expression into this vector in one fused pass;
+        the options are execute_assign's, forwarded by name."""
+        execute_assign(AssignNode(self, expression), plan, backend=backend, unroll=unroll,
+                       packages=packages, stepped=stepped)
 
     @classmethod
     def zeros(cls, n: int, dtype="f32") -> "DenseVector":
@@ -123,15 +130,17 @@ class DenseVector(Leaf):
         """Base address of the storage, for alignment checks."""
         return self._data.ctypes.data
 
-    # Block access used by evaluation loops. Reads return views: callers
-    # treat them as immutable register images and never write through them.
+    # Block access used by evaluation loops. The whole window is the
+    # storage itself, which spares a one-strip call a view per leaf, and
+    # any other window is a view. Callers treat reads as immutable register
+    # images and never write through them.
     def read_block(self, lo: int, hi: int) -> np.ndarray:
-        return self._data[lo:hi]
+        return self._data if hi - lo == self.length else self._data[lo:hi]
 
     def write_window(self, lo: int, hi: int) -> np.ndarray:
-        """Writable view of elements lo..hi-1: the caller writes each of
-        them once, in place, and reads none."""
-        return self._data[lo:hi]
+        """Writable elements lo..hi-1, the storage itself if that is all of
+        them: the caller writes each of them once, in place, and reads none."""
+        return self._data if hi - lo == self.length else self._data[lo:hi]
 
     def write_block(self, lo: int, hi: int, values) -> None:
         self._data[lo:hi] = values

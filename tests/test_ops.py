@@ -1,8 +1,12 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from lanevec import DenseVector, axpy, dot, norm2, scal, scaled_copy
 from lanevec import sum as vec_sum
+from lanevec.engine import PlanError, execute_assign, execute_reduce
 from lanevec.expressions import LengthMismatchError
 from lanevec.lanes import scalar_backend, wide_backend
 from lanevec.oracle import kahan_sum, oracle_axpy
@@ -160,3 +164,70 @@ def test_inplace_ops_accept_overrides():
     x = vec(range(100))
     scal(2, x, unroll=4, stepped=True)
     assert x.to_values() == [2.0 * i for i in range(100)]
+
+
+def _entry_points(dtype="f32", n=37):
+    """Each entry point's name as its errors give it, the function, its
+    positional arguments and the engine function it forwards to."""
+    rng = np.random.default_rng(n)
+    x = vec(rng.standard_normal(n), dtype)
+    y = vec(rng.standard_normal(n), dtype)
+    return [
+        ("dot", dot, (x, y), execute_reduce),
+        ("sum", vec_sum, (x,), execute_reduce),
+        ("norm2", norm2, (x,), execute_reduce),
+        ("scal", scal, (1.5, y), execute_assign),
+        ("axpy", axpy, (1.5, x, y), execute_assign),
+        ("scaled_copy", scaled_copy, (1.5, x, y), execute_assign),
+        ("DenseVector.assign", y.assign, (x * x + y,), execute_assign),
+    ]
+
+
+def test_entry_points_take_the_engine_options_by_keyword_with_its_defaults():
+    # a sixth engine option that one entry point does not forward fails here
+    for name, fn, _, engine_fn in _entry_points():
+        engine_options = list(inspect.signature(engine_fn).parameters.values())[1:]
+        params = inspect.signature(fn).parameters.values()
+        options = [p for p in params if p.kind is p.KEYWORD_ONLY]
+        assert [(p.name, p.default) for p in options] == [
+            (p.name, p.default) for p in engine_options], name
+        assert not any(p.kind is p.VAR_KEYWORD for p in params), name
+
+
+def test_an_unknown_or_positional_option_names_the_entry_point():
+    for name, fn, args, _ in _entry_points():
+        called = re.escape(name) + r"\(\)"
+        with pytest.raises(TypeError, match=called + " got an unexpected keyword argument 'foo'"):
+            fn(*args, foo=1)
+        with pytest.raises(TypeError, match=called + " takes"):
+            fn(*args, None)  # plan, which execute_* also takes by position
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_every_option_reaches_the_engine_from_every_entry_point(dtype):
+    for name, fn, args, _ in _entry_points(dtype):
+        with pytest.raises(PlanError, match="unsupported unroll factor 3"):
+            fn(*args, unroll=3)
+        with pytest.raises(PlanError, match="packages cannot split"):
+            fn(*args, packages=3)
+        with pytest.raises(TypeError, match="stepped must be True or False"):
+            fn(*args, stepped="no")
+        with pytest.raises(TypeError, match="backend must be a LaneBackend"):
+            fn(*args, backend="wide")
+        with pytest.raises(TypeError, match="plan must be an UnrollPlan"):
+            fn(*args, plan="default")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [0, 5, 37, 70])
+def test_stepped_entry_points_match_the_block_executor_bit_for_bit(dtype, n):
+    results = {}
+    for stepped in (False, True):
+        got = []
+        entries = _entry_points(dtype, n)
+        y = entries[0][2][1]  # dot's second operand, which every assignment writes
+        for name, fn, args, _ in entries:
+            value = fn(*args, stepped=stepped)
+            got.append(np.asarray(value if value is not None else y.to_array()))
+        results[stepped] = [(r.dtype, r.tobytes()) for r in got]
+    assert results[True] == results[False]

@@ -6,10 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
-from lanevec import dot
+from lanevec import axpy, dot, norm2, scal, scaled_copy
 from lanevec import sum as vec_sum
-from lanevec.expressions import AddNode, MulNode, ScaleNode, SubNode
-from lanevec.lanes import CONTAINER_ALIGNMENT
+from lanevec.engine import SCRATCH_BYTES, call_trace
+from lanevec.expressions import AddNode, AssignNode, MulNode, ScaleNode, SubNode
+from lanevec.lanes import CONTAINER_ALIGNMENT, as_dtype, default_backend
 from lanevec.oracle import CountingVector
 from lanevec.vectors import DenseVector
 
@@ -295,3 +296,110 @@ def test_assign_accepts_plan_overrides():
 
 def test_repr_smoke():
     assert "DenseVector" in repr(DenseVector.zeros(10))
+
+
+def _window_sizes(dtype):
+    """0, 1, the default lane width W, and either side of one strip."""
+    strip = SCRATCH_BYTES // as_dtype(dtype).itemsize
+    return [0, 1, default_backend(dtype).width, strip - 1, strip, strip + 7]
+
+
+def _awkward_values(n, dtype, seed):
+    """n values of the element type with ±0, NaN, ±inf and subnormals."""
+    t = as_dtype(dtype).type
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, np.finfo(t).smallest_subnormal, -1.5]
+    values = np.random.default_rng(seed).standard_normal(n).astype(t)
+    values[: min(n, len(specials))] = specials[:n]
+    return values
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_whole_vector_reads_keep_exact_aliasing_safe(dtype, stepped):
+    t = as_dtype(dtype).type
+    a = t(1.5)
+    for n in _window_sizes(dtype):
+        x0 = _awkward_values(n, dtype, n)
+        cases = [
+            (lambda x: x.assign(x, stepped=stepped), x0),
+            (lambda x: x.assign(x * x, stepped=stepped), np.multiply(x0, x0)),
+            (lambda x: scal(a, x, stepped=stepped), np.multiply(a, x0)),
+            (lambda x: axpy(a, x, x, stepped=stepped), np.add(x0, np.multiply(a, x0))),
+        ]
+        for run, want in cases:
+            x = DenseVector.from_values(x0, dtype)
+            run(x)
+            assert _bits(x.to_array()) == _bits(want), (n, want)
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_assigning_a_whole_vector_still_copies_it(dtype, stepped):
+    for n in _window_sizes(dtype):
+        x0 = _awkward_values(n, dtype, n)
+        x, y = DenseVector.from_values(x0, dtype), DenseVector.zeros(n, dtype)
+        y.assign(x, stepped=stepped)
+        assert _bits(y.to_array()) == _bits(x0) == _bits(x.to_array())
+        assert not np.shares_memory(y.read_block(0, n), x.read_block(0, n))
+        y.set(0, 7) if n else None
+        assert _bits(x.to_array()) == _bits(x0)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_a_stepped_call_over_one_register_of_the_whole_vector(dtype):
+    # unroll 1 at n = W: the one main-loop iteration loads all of x's storage
+    n = default_backend(dtype).width
+    t = as_dtype(dtype).type
+    x0 = _awkward_values(n, dtype, 3)
+    x = DenseVector.from_values(x0, dtype)
+    trace = call_trace(AssignNode(x, ScaleNode(2.0, x)), unroll=1)  # runs the call
+    assert [(e.kind, e.index) for e in trace if e.kind in ("load", "store")] == [
+        ("load", 0), ("store", 0)]
+    x = DenseVector.from_values(x0, dtype)
+    scal(2.0, x, unroll=1, stepped=True)
+    assert _bits(x.to_array()) == _bits(np.multiply(t(2.0), x0))
+    axpy(t(1.5), x, x, unroll=1, stepped=True)
+    want = np.multiply(t(2.0), x0)
+    assert _bits(x.to_array()) == _bits(np.add(want, np.multiply(t(1.5), want)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_whole_and_partial_windows(dtype):
+    v = DenseVector.from_values(range(10), dtype)
+    for access in (v.read_block, v.write_window):
+        whole = access(0, 10)
+        assert np.shares_memory(whole, v.read_block(0, 10)) and len(whole) == 10
+        part = access(3, 7)
+        assert part.tolist() == [3, 4, 5, 6]
+        assert part.ctypes.data == v.address + 3 * v.dtype.itemsize
+        assert not np.shares_memory(part, whole[:3]) and not np.shares_memory(part, whole[7:])
+    v.write_window(3, 7)[:] = [9, 9, 9, 9]
+    assert v.to_values() == [0, 1, 2, 9, 9, 9, 9, 7, 8, 9]
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_one_strip_calls_count_each_element_access(dtype, stepped):
+    for n in _window_sizes(dtype)[:-1]:  # no strip longer than the vector
+        x, y, out = (CountingVector.from_values(_awkward_values(n, dtype, s), dtype)
+                     for s in (1, 2, 3))
+        # (call, [(reads, writes) of x, y and out])
+        calls = [
+            (lambda: dot(x, y, stepped=stepped), [(n, 0), (n, 0), (0, 0)]),
+            (lambda: vec_sum(x, stepped=stepped), [(n, 0), (0, 0), (0, 0)]),
+            (lambda: norm2(x, stepped=stepped), [(2 * n, 0), (0, 0), (0, 0)]),
+            (lambda: scal(1.5, y, stepped=stepped), [(0, 0), (n, n), (0, 0)]),
+            (lambda: axpy(1.5, x, y, stepped=stepped), [(n, 0), (n, n), (0, 0)]),
+            (lambda: scaled_copy(1.5, x, out, stepped=stepped), [(n, 0), (0, 0), (0, n)]),
+            (lambda: out.assign(x, stepped=stepped), [(n, 0), (0, 0), (0, n)]),
+            (lambda: x.assign(x * x, stepped=stepped), [(2 * n, n), (0, 0), (0, 0)]),
+        ]
+        for run, counts in calls:
+            for v in (x, y, out):
+                v.reset_counts()
+            run()
+            assert [(v.read_count, v.write_count) for v in (x, y, out)] == counts, (n, counts)
