@@ -205,7 +205,7 @@ def test_an_unknown_or_positional_option_names_the_entry_point():
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_every_option_reaches_the_engine_from_every_entry_point(dtype):
-    for name, fn, args, _ in _entry_points(dtype):
+    for _, fn, args, _ in _entry_points(dtype):
         with pytest.raises(PlanError, match="unsupported unroll factor 3"):
             fn(*args, unroll=3)
         with pytest.raises(PlanError, match="packages cannot split"):
@@ -226,7 +226,7 @@ def test_stepped_entry_points_match_the_block_executor_bit_for_bit(dtype, n):
         got = []
         entries = _entry_points(dtype, n)
         y = entries[0][2][1]  # dot's second operand, which every assignment writes
-        for name, fn, args, _ in entries:
+        for _, fn, args, _ in entries:
             value = fn(*args, stepped=stepped)
             got.append(np.asarray(value if value is not None else y.to_array()))
         results[stepped] = [(r.dtype, r.tobytes()) for r in got]

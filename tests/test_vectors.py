@@ -345,7 +345,8 @@ def test_assigning_a_whole_vector_still_copies_it(dtype, stepped):
         y.assign(x, stepped=stepped)
         assert _bits(y.to_array()) == _bits(x0) == _bits(x.to_array())
         assert not np.shares_memory(y.read_block(0, n), x.read_block(0, n))
-        y.set(0, 7) if n else None
+        if n:
+            y.set(0, 7)
         assert _bits(x.to_array()) == _bits(x0)
 
 
