@@ -348,14 +348,14 @@ def _run_stepped(root, backend, unroll, packages, trace=None):
     slots = [{} for _ in range(groups * unroll)]
     # each group's packages of (window start and end in the iteration, slot
     # number, slot), built once so that the main loop does little index
-    # arithmetic
+    # arithmetic, and only if it runs
     schedules = [
         [
             [(k * width, (k + 1) * width, k, slots[p + k]) for k in range(first, first + span)]
             for first in range(0, unroll, span)
         ]
         for p in range(0, len(slots), unroll)
-    ]
+    ] if n else ()
 
     if rec:
         rec(TraceEvent("init", None, None))
@@ -399,12 +399,13 @@ def _run_stepped(root, backend, unroll, packages, trace=None):
 def block_strip(root, length: int) -> int:
     """Elements in one block-executor strip of a root over `length`
     elements: one strip array's, 32768 f32 or 16384 f64, whatever its
-    register count or U*W; a root that makes no strip array, or a
-    shorter vector, runs in one strip."""
-    if root.registers:
-        strip = SCRATCH_BYTES // root.dtype.itemsize
-        if strip < length:
-            return strip
+    register count or U*W; a vector no longer than that, or a root that
+    makes no strip array, runs in one strip. The length is compared
+    first, so only a vector longer than one strip walks the tree for
+    root.registers."""
+    strip = SCRATCH_BYTES // root.dtype.itemsize
+    if strip < length and root.registers:
+        return strip
     return length or 1
 
 

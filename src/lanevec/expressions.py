@@ -18,7 +18,7 @@ with TypeError, so
 
 Building a tree never touches vector elements, and checks lengths once:
 every node takes its element count, `length`, from its children when it
-is built, as it does its register counts, so a binary node or an
+is built, as it does its lane register footprint, so a binary node or an
 assignment whose sides disagree raises LengthMismatchError before any
 element is read or written, and an evaluation reads root.length instead
 of walking the leaves. Every node implements the per-slot contract the
@@ -69,8 +69,10 @@ view, and nothing writes an assignment's destination strip, the only out
 an evaluation passes, before every leaf below has been read: exact
 aliasing stays safe.
 
-`registers` is the number of strip arrays a node makes when given an out,
-counted when it is built, as its lane register footprint is. A non-leaf
+`registers` is the number of strip arrays a node makes when given an out.
+A tree is built on every call and only a vector longer than one strip
+reads the count (engine.block_strip), so it is a property that walks the
+children when read, and building a tree counts nothing. A non-leaf
 child given None makes its own registers, or one if it has none; a leaf
 makes none. A binary node makes its left child's, then holds a non-leaf
 left result while its right child makes its own; a ScaleNode makes its
@@ -147,9 +149,8 @@ def _check_agree(a, b, what):
         )
 
 
-# Exact types a scale factor is tested for before _is_real, whose
-# numbers.Real check is an ABC check that costs more than building the
-# node it decides.
+# Exact types a scale factor is tested for before the numbers.Real check,
+# an ABC check that costs more than building the node it decides.
 _PLAIN_REALS = (float, int)
 
 
@@ -174,9 +175,11 @@ class Expression:
         return SubNode(self, other)
 
     def __mul__(self, other):
-        if type(other) in _PLAIN_REALS or _is_real(other):
+        if isinstance(other, Expression):
+            return MulNode(self, other)
+        if type(other) in _PLAIN_REALS or isinstance(other, numbers.Real):
             return ScaleNode(other, self)
-        return MulNode(self, other)
+        return MulNode(self, other)  # raises
 
     # Reached only when the left factor is not an operand: a real scalar
     # scales, and MulNode rejects anything else, so the order never matters.
@@ -274,11 +277,14 @@ class Leaf(Expression):
 
 
 class _BinaryNode(Expression):
-    """Elementwise combination of two subtrees of equal dtype."""
+    """Elementwise combination of two subtrees of equal dtype. Each
+    subclass writes its operator into its own vector_op and single_op, so
+    a stepped walk makes no extra call per node, and names the same
+    operation on arrays, `_ufunc`, for block_op. `registers` is counted
+    from the children when read."""
 
-    __slots__ = ("left", "right", "dtype", "length", "register_footprint", "registers")
+    __slots__ = ("left", "right", "dtype", "length", "register_footprint")
 
-    _combine = None  # staticmethod set by subclasses
     _ufunc = None  # the same operation on arrays, with out=
     _symbol = "?"
 
@@ -294,13 +300,17 @@ class _BinaryNode(Expression):
         self.left = left
         self.right = right
         self.register_footprint = left.register_footprint + right.register_footprint
+
+    @property
+    def registers(self):
+        left, right = self.left, self.right
         regs = 0 if isinstance(left, Leaf) else left.registers or 1
         if not isinstance(right, Leaf):
             # a non-leaf left result waits while the right child makes its own
             held = (regs > 0) + (right.registers or 1)
             if held > regs:
                 regs = held
-        self.registers = regs
+        return regs
 
     def leaves(self):
         yield from self.left.leaves()
@@ -313,12 +323,6 @@ class _BinaryNode(Expression):
     def load(self, lo, hi, s):
         self.left.load(lo, hi, s)
         self.right.load(lo, hi, s)
-
-    def vector_op(self, s):
-        return self._combine(self.left.vector_op(s), self.right.vector_op(s))
-
-    def single_op(self, i):
-        return self._combine(self.left.single_op(i), self.right.single_op(i))
 
     def block_op(self, lo, hi, out):
         # A leaf's view is read here, without its own block_op call.
@@ -343,34 +347,52 @@ class _BinaryNode(Expression):
 
 class AddNode(_BinaryNode):
     __slots__ = ()
-    _combine = staticmethod(operator.add)
     _ufunc = np.add
     _symbol = "+"
+
+    def vector_op(self, s):
+        return self.left.vector_op(s) + self.right.vector_op(s)
+
+    def single_op(self, i):
+        return self.left.single_op(i) + self.right.single_op(i)
 
 
 class SubNode(_BinaryNode):
     __slots__ = ()
-    _combine = staticmethod(operator.sub)
     _ufunc = np.subtract
     _symbol = "-"
+
+    def vector_op(self, s):
+        return self.left.vector_op(s) - self.right.vector_op(s)
+
+    def single_op(self, i):
+        return self.left.single_op(i) - self.right.single_op(i)
 
 
 class MulNode(_BinaryNode):
     __slots__ = ()
-    _combine = staticmethod(operator.mul)
     _ufunc = np.multiply
     _symbol = "*"
+
+    def vector_op(self, s):
+        return self.left.vector_op(s) * self.right.vector_op(s)
+
+    def single_op(self, i):
+        return self.left.single_op(i) * self.right.single_op(i)
 
 
 class _UnaryNode:
     """One subtree plus a lane register of its own, kept in the slot's dict
     under the node; load_once and load pass through to the child. It makes
     its child's strip arrays: a ScaleNode passes its out down, and a root
-    hands the child the destination strip or None. The base of ScaleNode
-    and of the roots, which are not operands; each of them sets the five
-    fields itself."""
+    hands the child the destination strip or None, so its `registers` are
+    its child's; SumNode, whose child is given None, counts its own. The
+    base of ScaleNode and of the roots, which are not operands; each of
+    them sets the four fields itself."""
 
-    __slots__ = ("child", "dtype", "length", "register_footprint", "registers")
+    __slots__ = ("child", "dtype", "length", "register_footprint")
+
+    registers = property(lambda self: self.child.registers)
 
     def load_once(self, s, backend):
         self.child.load_once(s, backend)
@@ -399,7 +421,6 @@ class ScaleNode(_UnaryNode, Expression):
         self.dtype = dtype = child.dtype
         self.length = child.length
         self.register_footprint = 1 + child.register_footprint
-        self.registers = child.registers
         if abs(float(alpha)) > _LARGEST_FINITE[dtype]:
             # only here can the cast round to inf; errstate costs ~2 us, so
             # it stays off the common path
@@ -482,7 +503,6 @@ class AssignNode(_Root):
             _check_agree(dest, source, "assignment")
         self.dest = dest
         self.register_footprint = 1 + source.register_footprint
-        self.registers = source.registers
 
     source = property(operator.attrgetter("child"))
 
@@ -516,6 +536,8 @@ class SumNode(_Root):
     last: the two executors agree bit for bit, and a sum whose terms are
     all -0 is +0. load_once makes each slot's +0 accumulator with
     np.zeros, the register splat(0) makes for a third of its cost.
+    `registers`, read only for a vector longer than one strip, counts the
+    array the child's terms end in, or none for a leaf's view.
 
     The contract calls here are the stepped executor's; the block executor
     keeps the accumulators itself. It folds every strip's terms, as rows
@@ -544,9 +566,13 @@ class SumNode(_Root):
         self.dtype = child.dtype
         self.length = child.length
         self.register_footprint = 1 + child.register_footprint
+
+    @property
+    def registers(self):
         # the child given None, whose terms end in one of its arrays; a
         # leaf's are its own view
-        self.registers = 0 if isinstance(child, Leaf) else child.registers or 1
+        child = self.child
+        return 0 if isinstance(child, Leaf) else child.registers or 1
 
     def init(self, ts):
         ts[self] = self.dtype.type(0)

@@ -39,11 +39,13 @@ _DTYPES = tuple(_DTYPE_NAMES.values())
 
 
 def as_dtype(dtype) -> np.dtype:
-    """Normalize 'f32'/'f64'/numpy dtype spellings to a numpy dtype."""
+    """Normalize 'f32'/'f64'/numpy dtype spellings to a numpy dtype. None
+    raises TypeError as other unsupported types do, although np.dtype
+    reads it as float64 and a float64 dtype compares equal to it."""
     if isinstance(dtype, str) and dtype in _DTYPE_NAMES:
         return _DTYPE_NAMES[dtype]
     dt = np.dtype(dtype)
-    if dt not in _DTYPES:
+    if dtype is None or dt not in _DTYPES:
         raise TypeError(f"unsupported element type {dtype!r}; use f32 or f64")
     return dt
 

@@ -19,7 +19,7 @@ from lanevec.expressions import (
     common_length,
 )
 from lanevec.engine import execute_assign, execute_reduce, select_plan
-from lanevec.lanes import default_backend
+from lanevec.lanes import as_dtype, default_backend
 from lanevec.oracle import CountingVector
 from lanevec.vectors import DenseVector
 
@@ -370,6 +370,43 @@ def test_combine_partials_takes_unroll_rows_of_lanes(dtype):
 def test_combine_partials_small_case():
     rows = [np.ones(4, dtype=np.float32), np.full(4, 2, dtype=np.float32)]
     assert combine_partials(rows, np.float32(3)) == 15
+
+
+def special_pairs(dtype):
+    """Every ordered pair of a set of awkward values of dtype, as two
+    arrays: +-0, +-inf, NaN, the smallest and largest subnormals, the
+    smallest normal, the largest finite, and values whose products and
+    sums round in f32."""
+    info = np.finfo(dtype)
+    sub = info.smallest_subnormal
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, sub, -sub, info.tiny - sub,
+                       info.tiny, info.max, -info.max, 1.0, 1.0 + info.eps, 0.1, 1.1,
+                       3.3, -7.77, 1e-20, 1e20], info.dtype)
+    left, right = np.meshgrid(values, values)
+    return left.ravel(), right.ravel()
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("node, ufunc", [(AddNode, np.add), (SubNode, np.subtract),
+                                         (MulNode, np.multiply)])
+def test_binary_node_lanes_and_elements_match_numpy_bit_for_bit(node, ufunc, dtype):
+    """Each binary node's own vector_op and single_op give NumPy's bits,
+    and so do both executors, the stepped one with a tail of single_op."""
+    dtype = as_dtype(dtype)
+    a, b = special_pairs(dtype)
+    n = len(a)
+    x, y = DenseVector.from_values(a, dtype), DenseVector.from_values(b, dtype)
+    tree = node(x, y)
+    with np.errstate(all="ignore"):
+        want = ufunc(a, b).tobytes()
+        s = {}
+        tree.load(0, n, s)
+        assert tree.vector_op(s).tobytes() == want
+        assert np.array([tree.single_op(i) for i in range(n)], dtype).tobytes() == want
+        for stepped in (False, True):
+            d = DenseVector.zeros(n, dtype)
+            d.assign(tree, stepped=stepped)
+            assert d.to_array().tobytes() == want, stepped
 
 
 def _register_holders(node):

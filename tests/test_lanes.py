@@ -22,7 +22,7 @@ def test_as_dtype_normalizes_spellings():
     assert as_dtype(np.dtype(np.float64)) == np.dtype(np.float64)
 
 
-@pytest.mark.parametrize("bad", ["f16", np.int32, "int64", complex])
+@pytest.mark.parametrize("bad", ["f16", np.int32, "int64", complex, None])
 def test_as_dtype_rejects_non_float_types(bad):
     with pytest.raises(TypeError):
         as_dtype(bad)

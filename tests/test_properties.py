@@ -24,15 +24,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from lanevec import expressions, ops  # noqa: E402
 from lanevec.engine import (  # noqa: E402
     SCRATCH_BYTES,
     UnrollPlan,
     block_strip,
+    call_trace,
     execute_assign,
     execute_reduce,
     masked_length,
 )
-from lanevec.expressions import AssignNode, Leaf, SumNode, as_node  # noqa: E402
+from lanevec.expressions import AssignNode, Leaf, MulNode, SumNode, as_node  # noqa: E402
 from lanevec.lanes import as_dtype, scalar_backend, wide_backend  # noqa: E402
 from lanevec.vectors import DenseVector  # noqa: E402
 
@@ -207,8 +209,92 @@ def test_random_trees_match_numpy(tree, dtype, tail, short):
     # two assignment strips and two reduction strips, plus a tail
     long = 2 * max(strip, long_strip) + tail
     rng = np.random.default_rng([short, tail])
-    # the counts made when the nodes were built are the arrays a strip makes
+    # the counts the nodes give are the arrays a strip makes
     assert registers_taken(root) == root.registers
     assert registers_taken(reduction) == reduction.registers
     check_tree(tree, dtype, long, rng, stepped_too=False)
     check_tree(tree, dtype, short, rng, stepped_too=True)
+
+
+class RegistersRead(Exception):
+    """A node's `registers` was read where nothing may read it."""
+
+
+def forbid_registers(m):
+    """Make reading `registers` raise RegistersRead on every node class,
+    through the MonkeyPatch m."""
+    def read(node):
+        raise RegistersRead(type(node).__name__)
+
+    for cls in vars(expressions).values():
+        if isinstance(cls, type) and hasattr(cls, "registers"):
+            m.setattr(cls, "registers", property(read))
+
+
+def default_calls(tree, vectors):
+    """Every default call on the tree: its assignment into "d" and its
+    reduction, on both executors, and the call_trace of each."""
+    d = vectors["d"]
+    for stepped in (False, True):
+        d.assign(tree, stepped=stepped)
+        execute_reduce(SumNode(tree), stepped=stepped)
+    call_trace(AssignNode(d, tree))
+    call_trace(SumNode(tree))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tree=trees(5), dtype=st.sampled_from(["f32", "f64"]), n=st.integers(0, 4097))
+def test_building_and_one_strip_calls_never_read_registers(tree, dtype, n):
+    """Only a vector longer than one strip reads a root's `registers`: no
+    node reads it while a tree is built, and no default call over one
+    strip reads it, block or stepped, assignment or reduction."""
+    rng = np.random.default_rng(n)
+    vectors = {k: DenseVector.from_values(rng.uniform(-1, 1, n), dtype) for k in LEAVES}
+    with pytest.MonkeyPatch.context() as m:
+        forbid_registers(m)
+        default_calls(build(tree, vectors), vectors)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_only_a_vector_longer_than_one_strip_reads_registers(dtype):
+    """The six ops at exactly one strip leave `registers` unread; one
+    element more and an assignment and a reduction both read it, and
+    their strip is the one it gives."""
+    strip = SCRATCH_BYTES // as_dtype(dtype).itemsize
+    rng = np.random.default_rng(strip)
+    x, y, d = (DenseVector.from_values(rng.uniform(-1, 1, strip + 1), dtype)
+               for _ in range(3))
+    one = [DenseVector(v.to_array()[:strip], dtype) for v in (x, y, d)]
+    with pytest.MonkeyPatch.context() as m:
+        forbid_registers(m)
+        ops.dot(one[0], one[1])
+        ops.sum(one[0])
+        ops.norm2(one[0])
+        ops.axpy(0.5, one[0], one[1])
+        ops.scal(2.0, one[2])
+        ops.scaled_copy(0.5, one[0], one[2])
+        for call in (lambda: ops.dot(x, y), lambda: ops.axpy(0.5, x, y)):
+            with pytest.raises(RegistersRead):
+                call()
+
+    walks = []
+    block_op = MulNode.block_op
+
+    def spy(node, lo, hi, out):
+        walks.append((lo, hi))
+        return block_op(node, lo, hi, out)
+
+    for registers, strips in ((None, [(0, strip), (strip, strip + 1)]),
+                              (0, [(0, strip + 1)])):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(MulNode, "block_op", spy)
+            if registers is not None:
+                # a count of none runs the same calls in one strip
+                for cls in (AssignNode, SumNode):
+                    m.setattr(cls, "registers", registers)
+            walks.clear()
+            ops.dot(x, y)
+            assert walks == strips, registers
+            walks.clear()
+            d.assign(x * y + x)
+            assert walks == strips, registers
