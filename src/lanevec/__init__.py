@@ -34,8 +34,6 @@ from .lanes import (
     LaneVector,  # not public; see lanes
     default_backend,
     horizontal_sum,
-    scalar_backend,
-    wide_backend,
 )
 from .ops import axpy, dot, norm2, scal, scaled_copy, sum
 from .oracle import (
@@ -64,8 +62,6 @@ __all__ = [
     "as_node",
     "LengthMismatchError",
     "LaneBackend",
-    "scalar_backend",
-    "wide_backend",
     "default_backend",
     "horizontal_sum",
     "CONTAINER_ALIGNMENT",

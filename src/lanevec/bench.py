@@ -3,10 +3,13 @@
 Measures the fused engine against NumPy doing the same op, against the
 naive scalar loop and against the engine pinned to specific unroll
 factors, across vector sizes spanning the cache hierarchy. Timing is
-best-of-R plus median-of-R over freshly seeded random data; throughput
-columns are derived from the best time. Strictly single threaded; pin the
-process to one core for stable numbers, and cap NumPy's BLAS threads
-(OMP_NUM_THREADS=1 and its kin) so that `numpy` is single threaded too.
+best-of-R plus median-of-R over seeded random data, which the variants of
+one op, type and size share; each rep times every one of those variants
+once, in an order that alternates from rep to rep, so a change in host
+speed reaches them alike. Throughput columns are derived from the best
+time. Strictly single threaded; pin the process to one core for stable
+numbers, and cap NumPy's BLAS threads (OMP_NUM_THREADS=1 and its kin) so
+that `numpy` is single threaded too.
 With --json the records also go to a file with the host's metadata and
 each record's best time over the `numpy` record's for the same op, type
 and size: how close the call came to the NumPy roofline.
@@ -71,7 +74,8 @@ class _Kernel:
     arguments as the engine call, with arrays for vectors, and returns
     the NumPy call that does the op; a temporary it needs is made there,
     outside the timed call. updates names the operand the engine and
-    NumPy calls read and overwrite, which measure resets between reps.
+    NumPy calls read and overwrite, which measure restores before every
+    call.
     """
 
     flops: int
@@ -187,63 +191,72 @@ def _variant_options(variant: str):
     return {}
 
 
-def measure(op: str, variant: str, n: int, dtype, reps: int, warmup: int,
-            seed: int) -> BenchRecord:
-    """Time one op/variant/size combination and derive throughput."""
+def measure(op: str, variants, n: int, dtype, reps: int, warmup: int,
+            seed: int) -> list:
+    """Time the variants of one op, type and size on one set of data and
+    derive throughput: one record per variant, in the order given.
+
+    Each warm-up or timed rep calls every variant once, in the given order
+    on even reps and reversed on odd ones. The operand an op updates in
+    place is restored before every call, outside the timed region, so no
+    call sees another's result.
+    """
     dt = as_dtype(dtype)
     alpha = dt.type(_ALPHA)
     kernel = _KERNELS[op]
     x, y, out = _make_data(op, n, dt, seed)
 
-    if variant == "naive":
-        named = {"alpha": alpha, "x": x.to_values(),
-                 "y": None if y is None else y.to_values()}
-        call = partial(kernel.naive, *(named[a] for a in kernel.args if a != "out"))
-    elif variant == "numpy":
-        named = {"alpha": alpha, "x": x.write_window(0, n),
-                 "y": None if y is None else y.write_window(0, n),
-                 "out": None if out is None else out.write_window(0, n)}
-        call = kernel.numpy(*(named[a] for a in kernel.args))
-    else:
-        call = _engine_call(op, x, y, out, alpha, _variant_options(variant))
-    # In-place ops are re-run many times; reset the updated operand
-    # between reps, outside the timed region.
+    calls = []
+    for variant in variants:
+        if variant == "naive":
+            named = {"alpha": alpha, "x": x.to_values(),
+                     "y": None if y is None else y.to_values()}
+            calls.append(partial(kernel.naive, *(named[a] for a in kernel.args if a != "out")))
+        elif variant == "numpy":
+            named = {"alpha": alpha, "x": x.write_window(0, n),
+                     "y": None if y is None else y.write_window(0, n),
+                     "out": None if out is None else out.write_window(0, n)}
+            calls.append(kernel.numpy(*(named[a] for a in kernel.args)))
+        else:
+            calls.append(_engine_call(op, x, y, out, alpha, _variant_options(variant)))
     restore = None
-    if kernel.updates and n and variant != "naive":
+    if kernel.updates and n:
         updated = {"x": x, "y": y}[kernel.updates]
-        pristine = updated.to_array()
-        restore = lambda: updated.write_block(0, n, pristine)
+        restore = partial(updated.write_block, 0, n, updated.to_array())
 
-    for _ in range(warmup):
-        if restore:
-            restore()
-        call()
+    times = [[] for _ in calls]
+    runs = list(zip(calls, times))
+    for rep in range(warmup + reps):
+        for call, samples in runs if rep % 2 == 0 else runs[::-1]:
+            if restore:
+                restore()
+            t0 = time.perf_counter()
+            call()
+            elapsed = time.perf_counter() - t0
+            if rep >= warmup:
+                samples.append(elapsed)
 
-    times = []
-    for _ in range(reps):
-        if restore:
-            restore()
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-
-    best = min(times)
-    med = statistics.median(times)
-    return BenchRecord(
-        op=op,
-        variant=variant,
-        type=dtype_name(dt),
-        n=n,
-        reps=reps,
-        best_s=best,
-        median_s=med,
-        gflops=flop_count(op, n) / best / 1e9,
-        gbytes=bytes_moved(op, n, dt) / best / 1e9,
-    )
+    records = []
+    for variant, timed in zip(variants, times):
+        best = min(timed)
+        records.append(BenchRecord(
+            op=op,
+            variant=variant,
+            type=dtype_name(dt),
+            n=n,
+            reps=reps,
+            best_s=best,
+            median_s=statistics.median(timed),
+            gflops=flop_count(op, n) / best / 1e9,
+            gbytes=bytes_moved(op, n, dt) / best / 1e9,
+        ))
+    return records
 
 
 def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0) -> list:
-    """Measure every op x variant x size; record count is exactly the product.
+    """Measure every op x variant x size; record count is exactly the product,
+    ordered by op, then variant, then size. The variants of one op and
+    size are timed together, interleaved (see measure).
 
     Every input is checked before the first measurement: ValueError if a
     list is empty, a name unknown, a size, reps or warmup not an integer, a
@@ -262,12 +275,9 @@ def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0) -> l
     for name, value, least in (("reps", reps, 1), ("warmup", warmup, 0)):
         if not is_count(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return [
-        measure(op, variant, n, dtype, reps, warmup, seed)
-        for op in ops
-        for variant in variants
-        for n in sizes
-    ]
+    points = [[measure(op, variants, n, dtype, reps, warmup, seed) for n in sizes]
+              for op in ops]
+    return [point[k] for row in points for k in range(len(variants)) for point in row]
 
 
 def emit_csv(records, destination) -> None:

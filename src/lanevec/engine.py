@@ -74,8 +74,9 @@ footprint. Every other call, stepped=True and call_trace included, goes
 through _evaluate, which checks `stepped` and picks the executor. It
 takes its backend, U and packages from _resolve: without an override,
 the same default numbers and one package, with no plan built; with one,
-the plan's, checked against the tree and the backend before anything
-runs.
+those of the plan select_plan fits to the tree, the backend and the
+overrides. A given plan lends that fit its unroll and packages, and runs
+only if it equals the fit. All of it is checked before anything runs.
 
 The stepped executor keeps the same L lanes as c = L/(U*W) groups of U
 slot dicts, iteration t adding into group t mod c, so lane p*U*W + s*W + j
@@ -187,10 +188,6 @@ class UnrollPlan:
         return self.unroll * self.width
 
     @property
-    def slots_per_package(self) -> int:
-        return self.unroll // self.packages
-
-    @property
     def fold_lanes(self) -> int:
         """Lanes a reduction under this plan folds its terms in, on both
         executors: the largest power of two L with U*W <= L <= 256 and
@@ -242,7 +239,8 @@ def select_plan(
     if not is_count(length) or length < 0:
         raise PlanError(f"length must be an integer >= 0, got {length!r}")
 
-    _check_backend(backend)
+    if not isinstance(backend, LaneBackend):
+        raise TypeError(f"backend must be a LaneBackend, got {type(backend).__name__}")
     width = backend.width
     if unroll is None:
         unroll = _default_unroll(footprint, backend.specialized)
@@ -253,11 +251,6 @@ def select_plan(
             raise PlanError(f"{name} must be an integer, got {value!r}")
 
     return UnrollPlan(unroll, width, packages, masked_length(length, unroll, width))
-
-
-def _check_backend(backend) -> None:
-    if not isinstance(backend, LaneBackend):
-        raise TypeError(f"backend must be a LaneBackend, got {type(backend).__name__}")
 
 
 # Footprints in use are few; the bounds only cap a process that makes many.
@@ -287,43 +280,31 @@ TraceEvent = namedtuple("TraceEvent", ["kind", "index", "slot"])
 def _resolve(root, plan, backend, unroll, packages):
     """The backend, unroll and packages of a call that is not a default
     block call. With no override they are the default plan's numbers, and
-    no plan is built; an override is checked against the tree and the
-    others before anything runs."""
+    no plan is built. Otherwise they are the plan select_plan fits to the
+    tree, the backend (the default one if none is given) and the unroll
+    and packages overrides, or a given plan's own; a given plan must equal
+    that fit. All of it is checked before anything runs."""
     if plan is None and backend is None and unroll is None and packages is None:
         return _default_numbers(root.dtype, root.register_footprint)
-    length = root.length
     if backend is None:
         backend = default_backend(root.dtype)
-    _check_backend(backend)
+    if plan is not None:
+        if not isinstance(plan, UnrollPlan):
+            raise TypeError(f"plan must be an UnrollPlan, got {type(plan).__name__}")
+        if unroll is not None or packages is not None:
+            raise PlanError("pass either a prebuilt plan or overrides, not both")
+        unroll, packages = plan.unroll, plan.packages
+    fitted = select_plan(
+        root.register_footprint, root.length, backend, unroll=unroll, packages=packages
+    )
     if backend.dtype != root.dtype:
         raise PlanError(
             f"backend element type {backend.dtype} does not match "
             f"expression element type {root.dtype}"
         )
-
-    if plan is None:
-        plan = select_plan(
-            root.register_footprint,
-            length,
-            backend,
-            unroll=unroll,
-            packages=packages,
-        )
-    elif not isinstance(plan, UnrollPlan):
-        raise TypeError(f"plan must be an UnrollPlan, got {type(plan).__name__}")
-    else:
-        if unroll is not None or packages is not None:
-            raise PlanError("pass either a prebuilt plan or overrides, not both")
-        if plan.width != backend.width:
-            raise PlanError(
-                f"plan width {plan.width} does not match backend width {backend.width}"
-            )
-        if plan.masked_length != masked_length(length, plan.unroll, plan.width):
-            raise PlanError(
-                f"plan was built for a different length (masked {plan.masked_length}, "
-                f"vector length {length})"
-            )
-    return backend, plan.unroll, plan.packages
+    if plan is not None and plan != fitted:
+        raise PlanError(f"{plan} does not fit this call, for which select_plan gives {fitted}")
+    return backend, fitted.unroll, fitted.packages
 
 
 def _run_stepped(root, backend, unroll, packages, trace=None):
@@ -512,7 +493,13 @@ def execute_assign(
     stepped: bool = False,
 ) -> None:
     """Evaluate an assignment tree, writing every destination element once.
-    `stepped` is True or False; anything else raises TypeError."""
+    `stepped` is True or False; anything else raises TypeError.
+
+    An assignment is not atomic. A ufunc that raises under the caller's
+    np.errstate (over="raise", invalid="raise") leaves the destination
+    with new values in a prefix of whole strips on the block executor,
+    or of whole U*W iterations on the stepped one, and old values after
+    it. A reduction that raises writes no vector."""
     if not isinstance(root, AssignNode):
         raise TypeError("execute_assign requires an assignment root")
     if stepped is False and plan is None and backend is None and unroll is None and packages is None:

@@ -1,12 +1,15 @@
-"""Lane registers and the backends that make them.
+"""Lane registers and the backend that makes them.
 
 A lane register is a plain W-element NumPy array of the backend's dtype,
 and the layers above combine registers with NumPy's +, - and *; nothing
 wraps them, and no register is written in place (see expressions). A
 backend fixes W and the dtype: it makes registers (splat, load_aligned),
 writes them back (store_aligned) and coerces scalars to the element
-type. Containers align their storage to CONTAINER_ALIGNMENT, which
-every backend made here fits.
+type. LaneBackend(dtype, width) is its one constructor: width 1 is the
+scalar fallback, and no width means the widest register that
+CONTAINER_ALIGNMENT fits, 16 f32 or 8 f64 lanes. default_backend shares
+that widest one per dtype spelling. Containers align their storage to
+CONTAINER_ALIGNMENT, which every backend fits.
 """
 
 import functools
@@ -16,19 +19,15 @@ import numpy as np
 
 __all__ = [
     "LaneBackend",
-    "scalar_backend",
-    "wide_backend",
     "default_backend",
     "horizontal_sum",
     "as_dtype",
     "CONTAINER_ALIGNMENT",
 ]
 
-# One 64-byte block per lane register: 16 f32 lanes or 8 f64 lanes.
-_DEFAULT_BLOCK_BYTES = 64
-
 # Containers align their base address to this many bytes, which satisfies
-# every backend constructible below (width * itemsize <= 64).
+# every backend constructible below (width * itemsize <= 64). The widest
+# register fills one such block: 16 f32 lanes or 8 f64 lanes.
 CONTAINER_ALIGNMENT = 64
 
 _DTYPE_NAMES = {
@@ -66,14 +65,17 @@ class LaneBackend:
     """Factory and memory bridge for lane registers of one width and dtype.
 
     Width 1 is the portable fallback; a wider backend is `specialized` and
-    batches W elements per operation. Elementwise results are
+    batches W elements per operation. No width means the widest register
+    one CONTAINER_ALIGNMENT block holds. Elementwise results are
     bit-identical across widths, so the fallback is a drop-in stand-in.
     """
 
     __slots__ = ("dtype", "width", "specialized")
 
-    def __init__(self, dtype, width: int):
+    def __init__(self, dtype, width: int = None):
         dtype = as_dtype(dtype)
+        if width is None:
+            width = CONTAINER_ALIGNMENT // dtype.itemsize
         if not is_count(width) or width < 1 or width & (width - 1):
             raise ValueError(f"lane width must be a power-of-two integer, got {width!r}")
         if width * dtype.itemsize > CONTAINER_ALIGNMENT:
@@ -134,23 +136,8 @@ def horizontal_sum(v: np.ndarray):
 
 # Not public: only the lanes.horizontal_sum probe in perfbench/layers.py
 # calls lv.LaneVector(rows[0]). It goes when the probes move to the public
-# API, with the other names only they use (ROADMAP item 3).
+# API, with the other names only they use (ROADMAP item 4).
 LaneVector = np.asarray
-
-
-def scalar_backend(dtype) -> LaneBackend:
-    """The always-available width-1 fallback."""
-    return LaneBackend(dtype, 1)
-
-
-def wide_backend(dtype, width: int | None = None) -> LaneBackend:
-    """A batched backend; default width fills one 64-byte block."""
-    dt = as_dtype(dtype)
-    if width is None:
-        width = _DEFAULT_BLOCK_BYTES // dt.itemsize
-    if is_count(width) and width < 2:  # LaneBackend rejects a non-integer
-        raise ValueError("wide backends start at width 2; use scalar_backend")
-    return LaneBackend(dt, width)
 
 
 @functools.cache
@@ -158,4 +145,4 @@ def default_backend(dtype) -> LaneBackend:
     """Backend evaluations use when none is pinned: one per dtype spelling,
     made on first use and shared by every later call, so callers must not
     change it."""
-    return wide_backend(dtype)
+    return LaneBackend(dtype)

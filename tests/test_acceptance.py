@@ -30,7 +30,7 @@ from lanevec.bench import (
 )
 from lanevec.engine import UnrollPlan, masked_length
 from lanevec.expressions import AssignNode, ScaleNode, as_node
-from lanevec.lanes import as_dtype, scalar_backend, wide_backend
+from lanevec.lanes import LaneBackend, as_dtype
 from lanevec.oracle import oracle_axpy, oracle_scal, oracle_scaled_copy
 
 SEED = 20260814
@@ -164,7 +164,7 @@ def test_criterion_1_oracle_equivalence():
     started = time.perf_counter()
     checked = 0
     for dtype in DTYPES:
-        backends = (scalar_backend(dtype), wide_backend(dtype))
+        backends = (LaneBackend(dtype, 1), LaneBackend(dtype))
         for op in ELEMENTWISE + REDUCTIONS:
             for n in LENGTHS:
                 ref = reference(op, dtype, n)
@@ -194,7 +194,7 @@ def test_criterion_2_remainder_mask_and_single_op_count():
     checked = 0
     for unroll, width in pairs:
         block = unroll * width
-        backend = scalar_backend("f32") if width == 1 else wide_backend("f32", width)
+        backend = LaneBackend("f32", width)
         for length in range(130):
             n = masked_length(length, unroll, width)
             assert n <= length
@@ -224,7 +224,7 @@ def test_criterion_3_burst_order_in_unrolled_axpy():
         x = DenseVector.from_values(g.uniform(-1, 1, n))
         y = DenseVector.from_values(g.uniform(-1, 1, n))
         root = AssignNode(as_node(y), as_node(y) + ScaleNode(ALPHA, as_node(x)))
-        trace = call_trace(root, backend=wide_backend("f32", width), unroll=unroll)
+        trace = call_trace(root, backend=LaneBackend("f32", width), unroll=unroll)
 
         assert sum(e.kind == "init" for e in trace) == 1
         assert sum(e.kind == "load_once" for e in trace) == unroll
@@ -285,7 +285,7 @@ def test_criterion_5_building_expressions_touches_no_elements():
 
 def test_criterion_6_unroll_invariance():
     for dtype in DTYPES:
-        backend = wide_backend(dtype)
+        backend = LaneBackend(dtype)
         for n in (129, 1000, 4097):
             results = {}
             reductions = {}
@@ -313,7 +313,7 @@ def test_criterion_6_unroll_invariance():
 def test_reduction_error_bound_at_large_n(dtype):
     n = 1 << 20
     ref = reference("dot", dtype, n)
-    for backend in (scalar_backend(dtype), wide_backend(dtype)):
+    for backend in (LaneBackend(dtype, 1), LaneBackend(dtype)):
         for unroll in UNROLLS:
             got = run_engine("dot", dtype, n, backend, unroll)
             block = unroll * backend.width
@@ -336,7 +336,7 @@ def test_reduction_error_bound_with_fold_lanes(dtype):
     n = 1 << 20
     for op in REDUCTIONS:
         ref = reference(op, dtype, n)
-        for backend in (scalar_backend(dtype), wide_backend(dtype)):
+        for backend in (LaneBackend(dtype, 1), LaneBackend(dtype)):
             for unroll in UNROLLS:
                 width = backend.width
                 lanes = UnrollPlan(unroll, width, 1, masked_length(n, unroll, width)).fold_lanes

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -52,7 +53,7 @@ def test_flop_and_byte_accounting():
 @pytest.mark.parametrize("op", OPS)
 @pytest.mark.parametrize("variant", ["engine", "naive", "engine-U2"])
 def test_measure_produces_consistent_records(op, variant):
-    rec = measure(op, variant, 65, "f32", reps=3, warmup=1, seed=1)
+    [rec] = measure(op, [variant], 65, "f32", reps=3, warmup=1, seed=1)
     assert rec.op == op and rec.variant == variant
     assert rec.type == "f32" and rec.n == 65 and rec.reps == 3
     assert rec.best_s > 0
@@ -109,8 +110,8 @@ def test_all_variants_run(op):
 
 
 def test_seeded_data_is_reproducible():
-    a = measure("dot", "engine", 64, "f32", reps=1, warmup=0, seed=9)
-    b = measure("dot", "engine", 64, "f32", reps=1, warmup=0, seed=9)
+    [a] = measure("dot", ["engine"], 64, "f32", reps=1, warmup=0, seed=9)
+    [b] = measure("dot", ["engine"], 64, "f32", reps=1, warmup=0, seed=9)
     assert (a.op, a.variant, a.n) == (b.op, b.variant, b.n)  # timing differs, data same
     from lanevec.bench import _make_data
 
@@ -298,6 +299,32 @@ def test_cli_unwritable_json_exits_1(tmp_path, capsys):
     assert "cannot write JSON" in capsys.readouterr().err
 
 
+def test_variants_of_a_point_are_timed_interleaved(monkeypatch):
+    """Each rep calls every variant of one op and size once, the order
+    reversed on every other rep, before the sweep moves to the next size;
+    the records still come by variant, then size."""
+    import lanevec.bench as bench
+
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    kernel = bench._KERNELS["dot"]
+    monkeypatch.setitem(bench._KERNELS, "dot", dataclasses.replace(
+        kernel, engine=spy("engine", kernel.engine), naive=spy("naive", kernel.naive),
+        numpy=lambda x, y: spy("numpy", kernel.numpy(x, y))))
+    variants = ["engine", "naive", "numpy"]
+    records = run_sweep(["dot"], variants, [8, 64], reps=3, warmup=1)
+    one_size = (variants + variants[::-1]) * 2  # the warm-up rep and three timed
+    assert calls == one_size * 2
+    assert [(r.variant, r.n) for r in records] == [(v, n) for v in variants for n in (8, 64)]
+
+
 @pytest.mark.parametrize("op", ["scal", "axpy"])
 def test_inplace_ops_are_restored_between_reps(op, monkeypatch):
     # without restoration the mutated operand would compound across reps
@@ -317,6 +344,7 @@ def test_inplace_ops_are_restored_between_reps(op, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(bench, "_engine_call", spying)
-    measure(op, "engine", 32, "f32", reps=5, warmup=2, seed=3)
-    assert len(seen) == 7
+    # numpy updates the same operand between the two engine calls of a rep
+    measure(op, ["engine", "numpy", "engine-U2"], 32, "f32", reps=5, warmup=2, seed=3)
+    assert len(seen) == 2 * 7
     assert len(set(seen)) == 1

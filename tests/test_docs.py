@@ -1,11 +1,14 @@
-"""The README's code runs and prints what the README says it prints."""
+"""The README's code runs, prints what the README says it prints, and names
+only what the package has."""
 
 import contextlib
+import importlib
 import io
 import re
 import shlex
 from pathlib import Path
 
+import lanevec as lv
 from lanevec import bench
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -18,6 +21,19 @@ def test_readme_quick_tour_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
     assert out.getvalue().splitlines() == ["[12. 24. 36. 48.]", "300.0"]
+
+
+def test_readme_names_only_what_exists():
+    """Every `lv.<name>` and every `lanevec.<module>.<name>` that README.md
+    mentions is an attribute the package has."""
+    text = README.read_text()
+    names = set(re.findall(r"\blv\.(\w+)", text))
+    dotted = set(re.findall(r"\blanevec\.(\w+)\.(\w+)", text))
+    assert names and dotted
+    missing = [f"lv.{name}" for name in sorted(names) if not hasattr(lv, name)]
+    missing += [f"lanevec.{module}.{name}" for module, name in sorted(dotted)
+                if not hasattr(importlib.import_module(f"lanevec.{module}"), name)]
+    assert not missing, missing
 
 
 def test_readme_bench_command_runs(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -22,10 +23,9 @@ from lanevec.engine import (
 from lanevec.expressions import AssignNode, Leaf, MulNode, ScaleNode, SumNode, as_node
 from lanevec.lanes import (
     CONTAINER_ALIGNMENT,
+    LaneBackend,
     as_dtype,
     default_backend,
-    scalar_backend,
-    wide_backend,
 )
 from lanevec.ops import axpy, dot, norm2, scal, scaled_copy
 from lanevec.ops import sum as vec_sum
@@ -93,7 +93,7 @@ def test_masked_length_examples():
 
 
 def test_select_plan_picks_largest_fitting_unroll():
-    caps = wide_backend("f32", 4).caps
+    caps = LaneBackend("f32", 4).caps
     assert select_plan(2, 100, caps).unroll == 8
     assert select_plan(3, 100, caps).unroll == 4
     assert select_plan(4, 100, caps).unroll == 4
@@ -104,22 +104,22 @@ def test_select_plan_picks_largest_fitting_unroll():
 
 
 def test_select_plan_fallback_backend_degenerates():
-    plan = select_plan(4, 77, scalar_backend("f32").caps)
+    plan = select_plan(4, 77, LaneBackend("f32", 1).caps)
     assert (plan.unroll, plan.width, plan.masked_length) == (1, 1, 77)
 
 
 def test_select_plan_honors_explicit_overrides():
-    caps = wide_backend("f32", 4).caps
+    caps = LaneBackend("f32", 4).caps
     plan = select_plan(8, 100, caps, unroll=8, packages=4)
     assert (plan.unroll, plan.packages) == (8, 4)
     assert plan.masked_length == 96
     # explicit unroll wins even on the fallback backend
-    plan = select_plan(4, 100, scalar_backend("f32").caps, unroll=8)
+    plan = select_plan(4, 100, LaneBackend("f32", 1).caps, unroll=8)
     assert (plan.unroll, plan.width) == (8, 1)
 
 
 def test_select_plan_rejects_bad_configs():
-    caps = wide_backend("f32", 4).caps
+    caps = LaneBackend("f32", 4).caps
     with pytest.raises(PlanError):
         select_plan(0, 10, caps)
     with pytest.raises(PlanError):
@@ -141,7 +141,6 @@ def test_select_plan_rejects_bad_configs():
 def test_unroll_plan_invariants():
     plan = UnrollPlan(4, 4, 2, 32)
     assert plan.block == 16
-    assert plan.slots_per_package == 2
     with pytest.raises(PlanError):
         UnrollPlan(3, 4, 1, 0)
     with pytest.raises(PlanError):
@@ -163,19 +162,45 @@ def test_prebuilt_plan_is_validated_against_tree_and_backend():
     x, y = fresh_pair(20)
     root = make_axpy(1.5, x, y)
     good = UnrollPlan(2, 4, 1, 16)
-    execute_assign(root, good, backend=wide_backend("f32", 4))
+    execute_assign(root, good, backend=LaneBackend("f32", 4))
     with pytest.raises(PlanError):
-        execute_assign(root, good, backend=wide_backend("f32", 8))
+        execute_assign(root, good, backend=LaneBackend("f32", 8))
     with pytest.raises(PlanError):
-        execute_assign(root, UnrollPlan(2, 4, 1, 8), backend=wide_backend("f32", 4))
+        execute_assign(root, UnrollPlan(2, 4, 1, 8), backend=LaneBackend("f32", 4))
     with pytest.raises(PlanError):
-        execute_assign(root, good, backend=wide_backend("f32", 4), unroll=2)
+        execute_assign(root, good, backend=LaneBackend("f32", 4), unroll=2)
+
+
+def test_a_given_plan_runs_if_and_only_if_select_plan_fits_it():
+    x, y = fresh_pair(20)
+    root = make_axpy(1.5, x, y)
+    ran = 0
+    for width in (1, 2, 4, 8):
+        backend = LaneBackend("f32", width)
+        for unroll, packages, plan_width, masked in itertools.product(
+                UNROLL_FACTORS, (1, 2), (1, 2, 4, 8), (0, 8, 16, 20)):
+            if unroll % packages or masked % (unroll * plan_width):
+                continue
+            plan = UnrollPlan(unroll, plan_width, packages, masked)
+            fitted = select_plan(root.register_footprint, 20, backend, unroll=unroll,
+                                 packages=packages)
+            for stepped in (False, True):
+                if plan == fitted:
+                    execute_assign(root, plan, backend=backend, stepped=stepped)
+                    ran += 1
+                    continue
+                before = y.to_array()
+                with pytest.raises(PlanError, match=r"UnrollPlan\(.*select_plan gives UnrollPlan"):
+                    execute_assign(root, plan, backend=backend, stepped=stepped)
+                assert y.to_array().tobytes() == before.tobytes()
+    # each width fits one plan per (unroll, packages) pair, seven, on two executors
+    assert ran == 4 * 7 * 2
 
 
 def test_backend_dtype_must_match_tree():
     x, y = fresh_pair(8, "f64")
     with pytest.raises(PlanError):
-        execute_assign(make_axpy(1.0, x, y), backend=wide_backend("f32", 4))
+        execute_assign(make_axpy(1.0, x, y), backend=LaneBackend("f32", 4))
 
 
 def test_root_type_guards():
@@ -290,7 +315,7 @@ def test_block_executor_overrides_are_still_checked(kind):
     for options in (
         {"unroll": 3},
         {"plan": UnrollPlan(1, backend.width, 1, 32)},  # built for another length
-        {"backend": wide_backend("f64")},
+        {"backend": LaneBackend("f64")},
         {"plan": plan, "unroll": plan.unroll},
     ):
         with pytest.raises(PlanError):
@@ -377,8 +402,49 @@ def test_masked_main_loop_plus_remainder_covers_everything(unroll):
     # length 10, width 4, unroll 2: main loop covers 0..7, remainder 8, 9
     x, y = fresh_pair(10)
     expected = oracle_axpy(np.float32(1.5), x.to_values(), y.to_values())
-    execute_assign(make_axpy(1.5, x, y), backend=wide_backend("f32", 4), unroll=unroll)
+    execute_assign(make_axpy(1.5, x, y), backend=LaneBackend("f32", 4), unroll=unroll)
     assert y.to_values() == expected
+
+
+def _one_huge_element():
+    """f32 x of 0.5s with 1e30 at index 50,000, whose square overflows, and
+    y of ones, n = 70,000: more than two block strips."""
+    xs = np.full(70_000, 0.5, np.float32)
+    xs[50_000] = 1e30
+    return DenseVector.from_values(xs, "f32"), DenseVector.from_values(np.ones(70_000), "f32")
+
+
+@pytest.mark.parametrize("stepped, written", [(False, 32_768), (True, 49_984)])
+@pytest.mark.parametrize("error", ["over", "invalid"])
+def test_an_assignment_that_raises_leaves_a_prefix_written(error, stepped, written):
+    """A ufunc that raises under the caller's error state stops the
+    assignment mid-way: the destination holds new values in a prefix of
+    whole strips on the block executor (32,768 f32 elements) and of whole
+    U*W = 64 iterations on the stepped one (every iteration before
+    index 50,000's), and old values after it."""
+    x, y = _one_huge_element()
+    # x*x overflows at index 50,000, and x*x - x*x is inf - inf there;
+    # everywhere else the sources are 1.25 and 1.5
+    source, state, message, new = {
+        "over": (y + x * x, {"over": "raise"}, "overflow", 1.25),
+        "invalid": ((y + x) + (x * x - x * x), {"over": "ignore", "invalid": "raise"},
+                    "invalid value", 1.5),
+    }[error]
+    with np.errstate(**state), pytest.raises(FloatingPointError, match=message):
+        y.assign(source, stepped=stepped)
+    got = y.to_array()
+    assert (got[:written] == new).all() and (got[written:] == 1).all()
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_a_reduction_that_raises_leaves_every_vector_as_it_was(stepped):
+    x, y = _one_huge_element()
+    before = x.to_array(), y.to_array()
+    for root in (SumNode(x * x), SumNode(y + x * x)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            execute_reduce(root, stepped=stepped)
+    assert x.to_array().tobytes() == before[0].tobytes()
+    assert y.to_array().tobytes() == before[1].tobytes()
 
 
 # ---------------------------------------------------------------- traces
@@ -388,7 +454,7 @@ def test_trace_matches_documented_two_way_unrolled_shape():
     x = DenseVector.from_values(range(16))
     d = DenseVector.zeros(16)
     root = AssignNode(as_node(d), ScaleNode(3.0, as_node(x)))
-    trace = call_trace(root, backend=wide_backend("f32", 4), unroll=2, packages=1)
+    trace = call_trace(root, backend=LaneBackend("f32", 4), unroll=2, packages=1)
     assert [(e.kind, e.index, e.slot) for e in trace] == [
         ("init", None, None),
         ("load_once", None, 0),
@@ -414,7 +480,7 @@ def test_trace_unroll_one_degenerates_to_load_op_store():
     x = DenseVector.from_values(range(8))
     d = DenseVector.zeros(8)
     trace = call_trace(
-        AssignNode(as_node(d), as_node(x)), backend=wide_backend("f32", 4), unroll=1
+        AssignNode(as_node(d), as_node(x)), backend=LaneBackend("f32", 4), unroll=1
     )
     kinds = [e.kind for e in trace]
     assert kinds == ["init", "load_once"] + ["load", "vector_op", "store"] * 2 + [
@@ -426,7 +492,7 @@ def test_trace_zero_length_still_brackets_with_init_and_cleanup():
     x = DenseVector.zeros(0)
     d = DenseVector.zeros(0)
     trace = call_trace(
-        AssignNode(as_node(d), as_node(x)), backend=wide_backend("f32", 4), unroll=4
+        AssignNode(as_node(d), as_node(x)), backend=LaneBackend("f32", 4), unroll=4
     )
     kinds = [e.kind for e in trace]
     assert kinds == ["init"] + ["load_once"] * 4 + ["cleanup"]
@@ -454,7 +520,7 @@ def test_burst_order_for_every_valid_package_count(unroll):
         x, y = fresh_pair(unroll * 4 * 3 + 5)
         trace = call_trace(
             make_axpy(2.0, x, y),
-            backend=wide_backend("f32", 4),
+            backend=LaneBackend("f32", 4),
             unroll=unroll,
             packages=packages,
         )
@@ -472,7 +538,7 @@ def test_burst_order_for_every_valid_package_count(unroll):
 def test_reduction_trace_ends_with_reduction_event():
     x, y = fresh_pair(20)
     x_before, y_before = x.to_array().tobytes(), y.to_array().tobytes()
-    trace = call_trace(make_dot(x, y), backend=wide_backend("f32", 4), unroll=2)
+    trace = call_trace(make_dot(x, y), backend=LaneBackend("f32", 4), unroll=2)
     assert [e.kind for e in trace[-2:]] == ["cleanup", "reduction"]
     assert sum(e.kind == "reduction" for e in trace) == 1
     # the template's store burst is a no-op for reductions: nothing written
@@ -485,7 +551,7 @@ def test_single_op_count_equals_tail_length():
         for unroll, width in ((1, 1), (2, 4), (8, 4)):
             x = DenseVector.from_values(range(length))
             d = DenseVector.zeros(length)
-            backend = scalar_backend("f32") if width == 1 else wide_backend("f32", width)
+            backend = LaneBackend("f32", width)
             trace = call_trace(
                 AssignNode(as_node(d), ScaleNode(2.0, as_node(x))),
                 backend=backend,
@@ -503,7 +569,7 @@ def test_single_op_count_equals_tail_length():
 @pytest.mark.parametrize("unroll", UNROLLS)
 def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
     for n in (0, 1, 3, 16, 37, 129, 515):
-        for backend in (scalar_backend(dtype), wide_backend(dtype)):
+        for backend in (LaneBackend(dtype, 1), LaneBackend(dtype)):
             x, y = fresh_pair(n, dtype, seed=n)
             opts = dict(backend=backend, unroll=unroll)
 
@@ -548,9 +614,9 @@ def test_stepped_and_block_executors_are_bit_identical(dtype, unroll):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("unroll", UNROLLS)
-@pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
-def test_executors_agree_across_strip_boundaries(dtype, unroll, backend_of):
-    backend = backend_of(dtype)
+@pytest.mark.parametrize("width", [1, None], ids=["scalar_backend", "wide_backend"])
+def test_executors_agree_across_strip_boundaries(dtype, unroll, width):
+    backend = LaneBackend(dtype, width)
     block = unroll * backend.width
     v = DenseVector.zeros(1, dtype)
     strips = {axpy_strip(dtype), block_strip(make_dot(v, v), 1 << 40)}
@@ -665,15 +731,15 @@ def assert_positive_zero(root, opts, where):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
-def test_negative_zero_terms_sum_to_positive_zero(dtype, backend_of, monkeypatch):
+@pytest.mark.parametrize("width", [1, None], ids=["scalar_backend", "wide_backend"])
+def test_negative_zero_terms_sum_to_positive_zero(dtype, width, monkeypatch):
     """A sum or dot whose terms are all -0.0 is +0.0, and the block
     executor returns the stepped one's bits, with a tail or without, and
     so does a dot or sum(t3) whose lanes are carried across strips. A
     stepped lane starts at +0 and a block lane at its first term, so the
     lanes themselves may differ in the sign of zero; the remainder starts
     at +0 and is added last, which makes both results +0."""
-    backend = backend_of(dtype)
+    backend = LaneBackend(dtype, width)
     for unroll in UNROLLS:
         block = unroll * backend.width
         for n in sorted({block - 1, block, 2 * block - 1, 3 * block, 4 * block - 1} - {0}):
@@ -700,13 +766,13 @@ TAIL_CASES = {
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
-def test_array_tail_matches_single_op_tail(dtype, backend_of, monkeypatch):
+@pytest.mark.parametrize("width", [1, None], ids=["scalar_backend", "wide_backend"])
+def test_array_tail_matches_single_op_tail(dtype, width, monkeypatch):
     """The block executor evaluates the tail in one array call; the stepped
     executor runs single_op per element. They agree bit for bit, and so
     they do with a NaN or an infinity in the row the lanes so far are
     carried into."""
-    backend = backend_of(dtype)
+    backend = LaneBackend(dtype, width)
     strip = axpy_strip(dtype)
     for unroll in UNROLLS:
         block = unroll * backend.width
@@ -807,7 +873,7 @@ def test_block_and_stepped_agree_at_every_short_length(dtype):
     a reduction shorter than U*W returns that alone. That equals the
     stepped remainder, which starts at +0, bit for bit at every length
     up to two rows and two terms past them, -0, NaN and inf included."""
-    configs = [{}] + [dict(backend=scalar_backend(dtype), unroll=u) for u in (1, 2, 8)]
+    configs = [{}] + [dict(backend=LaneBackend(dtype, 1), unroll=u) for u in (1, 2, 8)]
     for name, make in TAIL_ROOTS.items():
         for opts in configs:
             block = row_of(make, dtype, opts)
@@ -845,7 +911,7 @@ def test_reduction_shorter_than_a_row_folds_nothing(dtype, monkeypatch):
 
         return counted
 
-    configs = [{}] + [dict(backend=scalar_backend(dtype), unroll=u) for u in (8, 1)]
+    configs = [{}] + [dict(backend=LaneBackend(dtype, 1), unroll=u) for u in (8, 1)]
     for name, make in TAIL_ROOTS.items():
         for opts in configs:
             block = row_of(make, dtype, opts)
@@ -909,7 +975,7 @@ def test_fold_lanes_are_capped_at_the_shortest_strip(monkeypatch):
     n = 256 * 32 + 16 + 5
     for dtype in DTYPES:
         x, y = fresh_pair(n, dtype, seed=3)
-        opts = dict(backend=wide_backend(dtype), unroll=1)
+        opts = dict(backend=LaneBackend(dtype), unroll=1)
         r_block = execute_reduce(make_dot(x, y), **opts)
         r_step = execute_reduce(make_dot(x, y), stepped=True, **opts)
         assert r_block.tobytes() == r_step.tobytes(), dtype
@@ -949,14 +1015,14 @@ def wide_fold_runs(dtype, backend):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("backend_of", [scalar_backend, wide_backend])
-def test_block_and_stepped_agree_on_wide_folds(dtype, backend_of, monkeypatch):
+@pytest.mark.parametrize("width", [1, None], ids=["scalar_backend", "wide_backend"])
+def test_block_and_stepped_agree_on_wide_folds(dtype, width, monkeypatch):
     """With L > U*W fold lanes, the stepped slot groups are the block
     executor's lanes: both agree bit for bit with a part row and across
     strip carries, and with NaN, +inf, -inf or -0 terms at the boundaries
     of rows, strips and the part row."""
     monkeypatch.setattr(engine, "SCRATCH_BYTES", FOLD_SCRATCH_BYTES)
-    backend = backend_of(dtype)
+    backend = LaneBackend(dtype, width)
     for name, make, opts, n, lanes, bounds in wide_fold_runs(dtype, backend):
         for case in ("uniform", "nan", "+inf", "-inf", "-0.0"):
             vectors = tail_vectors(n, dtype, "-0.0" if case == "-0.0" else "uniform")
@@ -975,7 +1041,7 @@ def test_stepped_reduction_runs_a_group_of_slots_per_fold_row():
     """With c = L/(U*W) groups of U slots, load_once runs c*U times and
     iteration t loads into group t mod c; its events name the unroll
     slot, 0..U-1."""
-    backend = wide_backend("f32", 4)
+    backend = LaneBackend("f32", 4)
     n = 256 * 16 + 8 + 1  # L = 16 lanes, 2 groups of 2 slots of 4
     x, y = fresh_pair(n, seed=5)
     trace = call_trace(make_dot(x, y), backend=backend, unroll=2)
@@ -1063,7 +1129,7 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
         }
         # At U*W = 1 the fold accumulates its one lane a strip at a time,
         # through strip-length temporaries that no register counts: no root.
-        scalar = scalar_backend(dtype)
+        scalar = LaneBackend(dtype, 1)
         calls["scalar sum"] = (lambda: vec_sum(x, backend=scalar), None)
         calls["scalar dot"] = (lambda: dot(x, y, backend=scalar), None)
         operand = n * x.dtype.itemsize
@@ -1094,10 +1160,10 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
 
 def test_packages_do_not_change_results():
     x, y = fresh_pair(515)
-    base = execute_reduce(make_dot(x, y), backend=wide_backend("f32", 4), unroll=8)
+    base = execute_reduce(make_dot(x, y), backend=LaneBackend("f32", 4), unroll=8)
     for packages in (1, 2, 4, 8):
         got = execute_reduce(
-            make_dot(x, y), backend=wide_backend("f32", 4), unroll=8, packages=packages
+            make_dot(x, y), backend=LaneBackend("f32", 4), unroll=8, packages=packages
         )
         assert got.tobytes() == base.tobytes()
 

@@ -419,9 +419,9 @@ def _register_holders(node):
 
 
 def test_slot_holds_each_register_under_its_node():
-    from lanevec.lanes import wide_backend
+    from lanevec.lanes import LaneBackend
 
-    be = wide_backend("f32", 4)
+    be = LaneBackend("f32", 4)
     x, y, z, w, d = (vec(*range(k, k + 8)) for k in range(5))
     a, b = 0.5, -1.5
     roots = {

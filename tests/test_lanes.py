@@ -8,8 +8,6 @@ from lanevec.lanes import (
     default_backend,
     dtype_name,
     horizontal_sum,
-    scalar_backend,
-    wide_backend,
 )
 
 DTYPES = ("f32", "f64")
@@ -35,7 +33,7 @@ def test_dtype_name_round_trips():
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_splat_fills_every_lane(dtype):
-    be = wide_backend(dtype, 4)
+    be = LaneBackend(dtype, 4)
     assert list(be.splat(0)) == [0, 0, 0, 0]
     assert list(be.splat(2.5)) == [2.5, 2.5, 2.5, 2.5]
     assert be.splat(1.0).dtype == as_dtype(dtype)
@@ -73,12 +71,12 @@ def test_splat_and_scalar_refuse_a_non_real(bad):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_horizontal_sum_of_splat_one_is_width(dtype):
     for width in (2, 4, 8):
-        be = wide_backend(dtype, width)
+        be = LaneBackend(dtype, width)
         assert horizontal_sum(be.splat(1)) == width
 
 
 def test_scalar_coercion():
-    be = wide_backend("f32", 4)
+    be = LaneBackend("f32", 4)
     v = be.scalar(0.1)
     assert type(v) is np.float32
     assert v == np.float32(0.1)
@@ -91,7 +89,7 @@ def test_scalar_coercion():
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_load_store_round_trip_is_bit_exact(dtype):
     dt = as_dtype(dtype)
-    be = wide_backend(dtype, 4)
+    be = LaneBackend(dtype, 4)
     # includes signed zero, infinities and NaN
     region = np.array([1.5, -0.0, np.inf, -np.inf, np.nan, 0.0, -2.5, 3.0], dtype=dt)
     out = np.zeros(8, dtype=dt)
@@ -101,19 +99,19 @@ def test_load_store_round_trip_is_bit_exact(dtype):
 
 
 def test_load_reads_the_addressed_window():
-    be = wide_backend("f32", 4)
+    be = LaneBackend("f32", 4)
     region = np.array([1, 2, 3, 4, 5, 6, 7, 8], dtype=np.float32)
     assert list(be.load_aligned(region, 4)) == [5, 6, 7, 8]
 
 
 def test_scalar_fallback_round_trip():
-    be = scalar_backend("f64")
+    be = LaneBackend("f64", 1)
     region = np.array([9.0], dtype=np.float64)
     assert list(be.load_aligned(region, 0)) == [9.0]
 
 
 def test_store_touches_nothing_outside_the_window():
-    be = wide_backend("f32", 4)
+    be = LaneBackend("f32", 4)
     region = np.arange(12, dtype=np.float32)
     be.store_aligned(region, 4, be.splat(0))
     assert list(region) == [0, 1, 2, 3, 0, 0, 0, 0, 8, 9, 10, 11]
@@ -125,8 +123,8 @@ def test_elementwise_results_match_across_widths(dtype):
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, 16).astype(dt)
     b = rng.uniform(-1, 1, 16).astype(dt)
-    wide = wide_backend(dtype, 8)
-    narrow = scalar_backend(dtype)
+    wide = LaneBackend(dtype, 8)
+    narrow = LaneBackend(dtype, 1)
     got_wide = np.empty_like(a)
     got_narrow = np.empty_like(a)
     for i in range(0, 16, 8):
@@ -154,7 +152,7 @@ def test_horizontal_sum_is_left_to_right(dtype, width):
 
 def test_horizontal_sum_small_cases():
     assert horizontal_sum(np.array([1, 2, 3, 4], dtype=np.float32)) == 10
-    assert horizontal_sum(wide_backend("f64", 4).splat(0)) == 0
+    assert horizontal_sum(LaneBackend("f64", 4).splat(0)) == 0
 
 
 def test_backend_validation():
@@ -166,14 +164,10 @@ def test_backend_validation():
         LaneBackend("f32", True)  # a bool is not a width, though True == 1
     with pytest.raises(ValueError):
         LaneBackend("f32", 32)  # 128 bytes > container alignment
-    with pytest.raises(ValueError):
-        wide_backend("f32", 1)
     with pytest.raises(ValueError, match="width"):
         LaneBackend("f32", 2.0)
     with pytest.raises(ValueError, match="width"):
-        wide_backend("f32", 2.0)
-    with pytest.raises(ValueError, match="width"):
-        wide_backend("f32", "a")
+        LaneBackend("f32", "a")
     for dt in DTYPES:
         for w in (1, 2, 4, 8):
             assert LaneBackend(dt, w).specialized == (w > 1)
@@ -182,7 +176,7 @@ def test_backend_validation():
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_capabilities_invariants(dtype):
     dt = as_dtype(dtype)
-    for be in (scalar_backend(dtype), wide_backend(dtype, 4), default_backend(dtype)):
+    for be in (LaneBackend(dtype, 1), LaneBackend(dtype, 4), default_backend(dtype)):
         caps = be.caps
         if not caps.specialized:
             assert caps.width == 1
@@ -197,3 +191,9 @@ def test_default_backend_fills_a_64_byte_block():
     assert default_backend("f32").width == 16
     assert default_backend("f64").width == 8
     assert default_backend("f32").caps.specialized
+    # no width is the widest register one 64-byte block holds, which the
+    # shared default backend has; width 1 is the scalar fallback
+    assert LaneBackend("f32").width == 16 and LaneBackend("f64").width == 8
+    for dt in DTYPES:
+        assert default_backend(dt) is default_backend(dt)
+        assert LaneBackend(dt, 1).specialized is False

@@ -8,7 +8,7 @@ from lanevec import DenseVector, axpy, dot, norm2, scal, scaled_copy
 from lanevec import sum as vec_sum
 from lanevec.engine import PlanError, execute_assign, execute_reduce
 from lanevec.expressions import LengthMismatchError
-from lanevec.lanes import scalar_backend, wide_backend
+from lanevec.lanes import LaneBackend
 from lanevec.oracle import kahan_sum, oracle_axpy
 
 DTYPES = ("f32", "f64")
@@ -153,8 +153,8 @@ def test_options_pass_through_to_the_engine():
     base = dot(x, y)
     for opts in (
         dict(unroll=2),
-        dict(backend=scalar_backend("f32")),
-        dict(backend=wide_backend("f32", 4), unroll=8, packages=2),
+        dict(backend=LaneBackend("f32", 1)),
+        dict(backend=LaneBackend("f32", 4), unroll=8, packages=2),
         dict(stepped=True),
     ):
         assert dot(x, y, **opts) == base  # tiny exact integers, any order

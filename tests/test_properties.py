@@ -35,13 +35,13 @@ from lanevec.engine import (  # noqa: E402
     masked_length,
 )
 from lanevec.expressions import AssignNode, Leaf, MulNode, SumNode, as_node  # noqa: E402
-from lanevec.lanes import as_dtype, scalar_backend, wide_backend  # noqa: E402
+from lanevec.lanes import LaneBackend, as_dtype  # noqa: E402
 from lanevec.vectors import DenseVector  # noqa: E402
 
 LEAVES = ("d", "x", "y", "z")  # "d" is the destination
 ALPHAS = (-1.5, -1.0, 0.5, 3.0)
 UNROLLS = (1, 2, 4, 8)
-BACKENDS = (scalar_backend, wide_backend)
+WIDTHS = (1, None)  # the scalar backend and the widest
 # A root that needs no register runs in one strip at any length; it is
 # run at twice this length plus the tail.
 REGISTER_FREE_STRIP = 2048
@@ -167,8 +167,8 @@ def check_tree(tree, dtype, n, rng, stepped_too):
         assert not any(np.shares_memory(terms, v.read_block(0, n)) for v in vectors.values())
     runs = [(False, 1)]
     builders = (build, build_shared) if stepped_too else (build,)
-    for backend_of in BACKENDS:
-        backend = backend_of(dtype)
+    for width in WIDTHS:
+        backend = LaneBackend(dtype, width)
         for unroll in UNROLLS:
             if stepped_too:
                 # packages shape only the stepped executor's bursts
