@@ -21,7 +21,9 @@ differ from engine only by the cost of the check. engine-stepped runs
 every op on the stepped executor, under the default plan.
 
 Everything the sweep knows of an op, its flop and traffic accounting
-included, is its one entry in _KERNELS.
+included, is its one entry in _KERNELS; everything it knows of a
+variant, the call it builds from an op's kernel and one point's data, is
+its one entry in _VARIANTS.
 """
 
 import argparse
@@ -120,9 +122,28 @@ _KERNELS = {
                      lambda x: lambda: np.sqrt(np.dot(x, x))),
 }
 
+
+def _engine(**options):
+    return lambda kernel, args: partial(kernel.engine, *args.values(), **options)
+
+
+# Each entry builds its variant's call from an op's _Kernel and one point's
+# data: the engine call's arguments by name, in order, vectors as
+# DenseVectors. naive passes lists to the oracle, numpy the storage arrays.
+_VARIANTS = {
+    "engine": _engine(),
+    "naive": lambda kernel, args: partial(kernel.naive, *(
+        value if name == "alpha" else value.to_values()
+        for name, value in args.items() if name != "out")),
+    "numpy": lambda kernel, args: kernel.numpy(*(
+        value if name == "alpha" else value.write_window(0, len(value))
+        for name, value in args.items())),
+    **{f"engine-U{u}": _engine(unroll=u) for u in (1, 2, 4, 8)},
+    "engine-stepped": _engine(stepped=True),
+}
+
 OPS = tuple(_KERNELS)
-VARIANTS = ("engine", "naive", "numpy", "engine-U1", "engine-U2", "engine-U4",
-            "engine-U8", "engine-stepped")
+VARIANTS = tuple(_VARIANTS)
 TYPES = ("f32", "f64")
 
 CSV_HEADER = "op,variant,type,n,reps,best_s,median_s,gflops,gbytes"
@@ -177,18 +198,15 @@ def _make_data(op: str, n: int, dtype, seed: int):
     return x, y, out
 
 
-def _engine_call(op: str, x, y, out, alpha, options):
-    kernel = _KERNELS[op]
-    named = {"alpha": alpha, "x": x, "y": y, "out": out}
-    return partial(kernel.engine, *(named[a] for a in kernel.args), **options)
-
-
-def _variant_options(variant: str):
-    if variant.startswith("engine-U"):
-        return {"unroll": int(variant[len("engine-U") :])}
-    if variant == "engine-stepped":
-        return {"stepped": True}
-    return {}
+def _check_names(ops, variants) -> None:
+    for kind, names, known in (("op", ops, _KERNELS), ("variant", variants, _VARIANTS)):
+        if not names:
+            raise ValueError(f"no {kind} given; choose from {', '.join(known)}")
+        for name in names:
+            if name not in known:
+                raise ValueError(
+                    f"unknown {kind} {name!r}; choose from {', '.join(known)}"
+                )
 
 
 def measure(op: str, variants, n: int, dtype, reps: int, warmup: int,
@@ -199,29 +217,19 @@ def measure(op: str, variants, n: int, dtype, reps: int, warmup: int,
     Each warm-up or timed rep calls every variant once, in the given order
     on even reps and reversed on odd ones. The operand an op updates in
     place is restored before every call, outside the timed region, so no
-    call sees another's result.
+    call sees another's result. An unknown op or variant raises
+    ValueError, as in run_sweep, before any data is built.
     """
+    _check_names([op], variants)
     dt = as_dtype(dtype)
-    alpha = dt.type(_ALPHA)
     kernel = _KERNELS[op]
     x, y, out = _make_data(op, n, dt, seed)
-
-    calls = []
-    for variant in variants:
-        if variant == "naive":
-            named = {"alpha": alpha, "x": x.to_values(),
-                     "y": None if y is None else y.to_values()}
-            calls.append(partial(kernel.naive, *(named[a] for a in kernel.args if a != "out")))
-        elif variant == "numpy":
-            named = {"alpha": alpha, "x": x.write_window(0, n),
-                     "y": None if y is None else y.write_window(0, n),
-                     "out": None if out is None else out.write_window(0, n)}
-            calls.append(kernel.numpy(*(named[a] for a in kernel.args)))
-        else:
-            calls.append(_engine_call(op, x, y, out, alpha, _variant_options(variant)))
+    named = {"alpha": dt.type(_ALPHA), "x": x, "y": y, "out": out}
+    args = {a: named[a] for a in kernel.args}
+    calls = [_VARIANTS[variant](kernel, args) for variant in variants]
     restore = None
     if kernel.updates and n:
-        updated = {"x": x, "y": y}[kernel.updates]
+        updated = args[kernel.updates]
         restore = partial(updated.write_block, 0, n, updated.to_array())
 
     times = [[] for _ in calls]
@@ -262,14 +270,7 @@ def run_sweep(ops, variants, sizes, dtype="f32", reps=25, warmup=5, seed=0) -> l
     list is empty, a name unknown, a size, reps or warmup not an integer, a
     size negative, reps < 1 or warmup < 0.
     """
-    for kind, names, known in (("op", ops, OPS), ("variant", variants, VARIANTS)):
-        if not names:
-            raise ValueError(f"no {kind} given; choose from {', '.join(known)}")
-        for name in names:
-            if name not in known:
-                raise ValueError(
-                    f"unknown {kind} {name!r}; choose from {', '.join(known)}"
-                )
+    _check_names(ops, variants)
     if not sizes or not all(is_count(n) and n >= 0 for n in sizes):
         raise ValueError("sizes must be one or more non-negative integers")
     for name, value, least in (("reps", reps, 1), ("warmup", warmup, 0)):
@@ -294,21 +295,6 @@ def emit_csv(records, destination) -> None:
         return
     with open(destination, "w") as f:
         f.write(text)
-
-
-def parse_csv(text: str) -> list:
-    """Inverse of emit_csv, for tests and downstream tooling."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or malformed CSV header")
-    records = []
-    for ln in lines[1:]:
-        op, variant, typ, n, reps, best_s, median_s, gflops, gbytes = ln.split(",")
-        records.append(
-            BenchRecord(op, variant, typ, int(n), int(reps), float(best_s),
-                        float(median_s), float(gflops), float(gbytes))
-        )
-    return records
 
 
 def _sysfs_caches() -> dict:

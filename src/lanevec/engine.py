@@ -499,7 +499,11 @@ def execute_assign(
     np.errstate (over="raise", invalid="raise") leaves the destination
     with new values in a prefix of whole strips on the block executor,
     or of whole U*W iterations on the stepped one, and old values after
-    it. A reduction that raises writes no vector."""
+    it. A reduction that raises writes no vector. Under NumPy's default
+    error state an overflow only warns and the call runs to the end: one
+    RuntimeWarning per strip on the block executor, and one per ufunc
+    call or tail element that overflows on the stepped one (3 against
+    4,420 for 70,000 f32 elements, all at 1e30, squared)."""
     if not isinstance(root, AssignNode):
         raise TypeError("execute_assign requires an assignment root")
     if stepped is False and plan is None and backend is None and unroll is None and packages is None:

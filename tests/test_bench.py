@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -18,9 +20,16 @@ from lanevec.bench import (
     flop_count,
     main,
     measure,
-    parse_csv,
     run_sweep,
 )
+
+
+def read_csv(text):
+    """The records in emit_csv's text, each field converted back from str."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert ",".join(header) == CSV_HEADER
+    return [BenchRecord(op, variant, typ, int(n), int(reps), *map(float, times))
+            for op, variant, typ, n, reps, *times in rows]
 
 
 def test_default_sizes_cover_powers_of_two_with_neighbors():
@@ -74,6 +83,22 @@ def test_run_sweep_rejects_unknown_names():
         run_sweep(["dog"], ["engine"], [16], reps=1, warmup=0)
     with pytest.raises(ValueError):
         run_sweep(["dot"], ["turbo"], [16], reps=1, warmup=0)
+
+
+@pytest.mark.parametrize("op, variants, unknown", [
+    ("dot", ["turbo"], "turbo"),
+    ("dot", ["engine", "turbo"], "turbo"),
+    ("dog", ["engine"], "dog"),
+])
+def test_measure_rejects_unknown_names_before_building_data(op, variants, unknown,
+                                                             monkeypatch):
+    import lanevec.bench as bench
+
+    built = []
+    monkeypatch.setattr(bench, "_make_data", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=repr(unknown)):
+        measure(op, variants, 8, "f32", 1, 0, 0)
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -131,7 +156,7 @@ def test_emit_csv_and_parse_round_trip(tmp_path):
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
-    parsed = parse_csv(text)
+    parsed = read_csv(text)
     assert parsed == records
 
 
@@ -155,12 +180,7 @@ def test_emit_csv_round_trips_numpy_scalars(tmp_path):
                       np.float64(0.064))
     path = tmp_path / "numpy.csv"
     emit_csv([rec], str(path))
-    assert parse_csv(path.read_text()) == [rec]
-
-
-def test_parse_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        parse_csv("nope\n1,2,3\n")
+    assert read_csv(path.read_text()) == [rec]
 
 
 def test_cli_writes_csv(tmp_path):
@@ -172,7 +192,7 @@ def test_cli_writes_csv(tmp_path):
         ]
     )
     assert code == 0
-    records = parse_csv(path.read_text())
+    records = read_csv(path.read_text())
     assert len(records) == 6
     for r in records:
         assert math.isclose(r.gflops, flop_count(r.op, r.n) / r.best_s / 1e9,
@@ -186,7 +206,7 @@ def test_cli_writes_csv(tmp_path):
         ]
     )
     assert code == 0
-    records = parse_csv(path.read_text())
+    records = read_csv(path.read_text())
     assert [(r.op, r.n) for r in records] == [
         ("dot", 8), ("dot", 16), ("scal", 8), ("scal", 16),
     ]
@@ -211,7 +231,7 @@ def test_cli_writes_json(tmp_path):
     rows = document["records"]
     # the JSON holds the CSV's records, each with its time relative to numpy
     assert [BenchRecord(**{k: v for k, v in r.items() if k != "vs_numpy"}) for r in rows] \
-        == parse_csv(csv.read_text())
+        == read_csv(csv.read_text())
     assert len(rows) == 2 * 2 * 2 * 2
     numpy_best = {(r["op"], r["type"], r["n"]): r["best_s"] for r in rows
                   if r["variant"] == "numpy"}
@@ -331,19 +351,14 @@ def test_inplace_ops_are_restored_between_reps(op, monkeypatch):
     import lanevec.bench as bench
 
     seen = []
-    real = bench._engine_call
+    kernel = bench._KERNELS[op]
+    updated = kernel.args.index(kernel.updates)
 
-    def spying(op_, x, y, out, alpha, options):
-        call = real(op_, x, y, out, alpha, options)
-        mutated = x if op_ == "scal" else y
+    def engine(*args, **options):
+        seen.append(args[updated].to_array().tobytes())
+        return kernel.engine(*args, **options)
 
-        def wrapped():
-            seen.append(mutated.to_array().tobytes())
-            call()
-
-        return wrapped
-
-    monkeypatch.setattr(bench, "_engine_call", spying)
+    monkeypatch.setitem(bench._KERNELS, op, dataclasses.replace(kernel, engine=engine))
     # numpy updates the same operand between the two engine calls of a rep
     measure(op, ["engine", "numpy", "engine-U2"], 32, "f32", reps=5, warmup=2, seed=3)
     assert len(seen) == 2 * 7

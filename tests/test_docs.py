@@ -49,3 +49,13 @@ def test_readme_bench_command_runs(tmp_path):
     assert lines[0] == header
     # one row per variant at the one size the command names
     assert [line.split(",")[:2] for line in lines[1:]] == [["dot", "engine"], ["dot", "naive"]]
+
+
+def test_readme_bench_flags_list_every_op_and_variant():
+    """README's `--op` and `--variants` lists are lanevec-bench's OPS and
+    VARIANTS, in order, so a new variant cannot go undocumented."""
+    text = README.read_text()
+    listed = {flag: re.findall(r"`([\w-]+)`", re.search(rf"`--{flag}` \((.*?)\)", text, re.S)[1])
+              for flag in ("op", "variants")}
+    assert listed["op"] == [*bench.OPS, "all"]
+    assert listed["variants"] == list(bench.VARIANTS)

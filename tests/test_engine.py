@@ -2,6 +2,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -445,6 +446,33 @@ def test_a_reduction_that_raises_leaves_every_vector_as_it_was(stepped):
             execute_reduce(root, stepped=stepped)
     assert x.to_array().tobytes() == before[0].tobytes()
     assert y.to_array().tobytes() == before[1].tobytes()
+
+
+def test_overflow_under_the_default_error_state_warns_once_per_strip():
+    """Under NumPy's default error state an overflow warns and the call
+    goes on: with every f32 element at 1e30, the block executor warns once
+    per strip (3 for 70,000 elements), the stepped one once per ufunc call
+    or tail element that overflows, far more often, and a block reduction
+    once per strip too, returning inf."""
+    n = 70_000
+    x = DenseVector.from_values(np.full(n, 1e30, np.float32), "f32")
+    y = DenseVector.zeros(n, "f32")
+    strips = -(-n // block_strip(AssignNode(y, y + x * x), n))
+    assert strips == 3
+    counts = {}
+    for stepped in (False, True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            y.assign(y + x * x, stepped=stepped)
+        assert all(w.category is RuntimeWarning for w in caught)
+        assert (y.to_array() == np.inf).all()
+        counts[stepped] = len(caught)
+    assert counts[False] == strips
+    assert counts[True] > counts[False]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dot(x, x) == np.inf
+    assert len(caught) == strips
 
 
 # ---------------------------------------------------------------- traces

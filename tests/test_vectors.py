@@ -25,6 +25,17 @@ def test_zeros(dtype):
     assert v.dtype == np.dtype(np.float32 if dtype == "f32" else np.float64)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [0, 1, 65543, 2**20])
+def test_zeros_are_positive_zero_and_aligned(dtype, n):
+    """Every element is +0.0, no sign bit set, in storage that starts on a
+    64-byte boundary, from a small buffer up to one calloc maps fresh."""
+    v = DenseVector.zeros(n, dtype)
+    bits = v.to_array().view(np.uint32 if dtype == "f32" else np.uint64)
+    assert not bits.any()
+    assert v.address % CONTAINER_ALIGNMENT == 0
+
+
 def test_zero_length_is_legal():
     v = DenseVector.zeros(0)
     assert len(v) == 0
