@@ -5,8 +5,8 @@ Evaluation of one expression follows a fixed shape:
     init                          once
     load_once                     once per unroll slot
     main loop over i in steps of U*W:
-        per package: a burst of loads, a burst of vector_ops,
-                     a burst of stores (slot order kept inside bursts)
+        a burst of U loads, a burst of U vector_ops,
+        a burst of U stores (slot order kept inside bursts)
     scalar remainder loop         single_op per leftover index
     cleanup                       once
     reduction                     reduction roots only
@@ -20,18 +20,17 @@ evaluation's only loop-wide state; it is not passed down the tree, and
 only init, single_op and reduction take it.
 
 Two interchangeable executors implement that shape. The stepped executor
-drives the node contract call by call and is what `call_trace` records;
-packages shape only its bursts and its trace, and it is the only one that
-calls single_op. The block executor is the default, because interpreter
-overhead, not arithmetic, dominates here. It runs in strips, one
-contiguous ufunc call per node per strip, each writing with out= into a
-strip-length array (see the block_op contract in expressions). Both
-roots take block_strip's length: each strip array a root's tree makes,
-one of its `registers`, holds SCRATCH_BYTES, so every root that makes one
-runs strips set by the dtype alone, whatever U*W or its register count,
-and a root that makes none (scal, scaled_copy, a*(x + y), a sum over a
-bare leaf) runs one strip over the whole length. The tail is the end of
-the last strip:
+drives the node contract call by call, is what `call_trace` records and
+is the only one that calls single_op. The block executor is the default,
+because interpreter overhead, not arithmetic, dominates here. It runs in
+strips, one contiguous ufunc call per node per strip, each writing with
+out= into a strip-length array (see the block_op contract in
+expressions). Both roots take block_strip's length: each strip array a
+root's tree makes, one of its `registers`, holds SCRATCH_BYTES, so every
+root that makes one runs strips set by the dtype alone, whatever U*W or
+its register count, and a root that makes none (scal, scaled_copy,
+a*(x + y), a sum over a bare leaf) runs one strip over the whole length.
+The tail is the end of the last strip:
 
 - an assignment's source writes each strip straight into the
   destination's window, which the executor hands it as out; a bare leaf
@@ -66,17 +65,17 @@ the last strip:
 
 A call builds only what its executor reads. The element count is the
 root's `length`, checked when the tree was built. A default block call,
-one with no plan, backend, unroll or packages, runs from its entry point
-and builds no plan: an assignment's strips read neither a plan nor a
+one with no plan, backend or unroll, runs from its entry point and
+builds no plan: an assignment's strips read neither a plan nor a
 backend, and a reduction reads only U, from select_plan's unroll rule,
 and W, from the default backend, both memoized per element type and
 footprint. Every other call, stepped=True and call_trace included, goes
 through _evaluate, which checks `stepped` and picks the executor. It
-takes its backend, U and packages from _resolve: without an override,
-the same default numbers and one package, with no plan built; with one,
-those of the plan select_plan fits to the tree, the backend and the
-overrides. A given plan lends that fit its unroll and packages, and runs
-only if it equals the fit. All of it is checked before anything runs.
+takes its backend and U from _resolve: without an override, the same
+default numbers, with no plan built; with one, those of the plan
+select_plan fits to the tree, the backend and the unroll override. A
+given plan lends that fit its unroll, and runs only if it equals the
+fit. All of it is checked before anything runs.
 
 The stepped executor keeps the same L lanes as c = L/(U*W) groups of U
 slot dicts, iteration t adding into group t mod c, so lane p*U*W + s*W + j
@@ -148,11 +147,9 @@ def _is_pow2(n: int) -> bool:
 class UnrollPlan:
     """Shape of one evaluation loop.
 
-    unroll: slots (lane registers) processed per main-loop iteration.
+    unroll: slots (lane registers) processed per main-loop iteration,
+        in one burst of loads, one of vector_ops and one of stores.
     width: lanes per slot, taken from the backend.
-    packages: load/op/store burst groups per iteration; each package
-        covers unroll/packages consecutive slots. Only the stepped
-        executor runs packages; they never change a result.
     masked_length: largest multiple of unroll*width not exceeding the
         vector length; the main loop stops there and the scalar remainder
         loop finishes the tail.
@@ -160,11 +157,10 @@ class UnrollPlan:
 
     unroll: int
     width: int
-    packages: int
     masked_length: int
 
     def __post_init__(self):
-        for name in ("unroll", "width", "packages", "masked_length"):
+        for name in ("unroll", "width", "masked_length"):
             value = getattr(self, name)
             if not is_count(value):
                 raise PlanError(f"{name} must be an integer, got {value!r}")
@@ -172,10 +168,6 @@ class UnrollPlan:
             raise PlanError(f"unsupported unroll factor {self.unroll}")
         if not _is_pow2(self.width):
             raise PlanError(f"lane width must be a power of two, got {self.width}")
-        if self.packages < 1 or self.unroll % self.packages:
-            raise PlanError(
-                f"{self.packages} packages cannot split {self.unroll} slots evenly"
-            )
         if self.masked_length < 0 or self.masked_length % self.block:
             raise PlanError(
                 f"masked length {self.masked_length} is not a multiple of "
@@ -222,7 +214,6 @@ def select_plan(
     backend: LaneBackend,
     *,
     unroll: int = None,
-    packages: int = None,
 ) -> UnrollPlan:
     """Pick a loop plan for an expression with the given register footprint.
 
@@ -231,8 +222,7 @@ def select_plan(
     expression too wide even for unroll 1 still runs at 1 and spills.
     The lane width is the backend's; a width-1 backend, the one that is
     not specialized, runs not unrolled unless an explicit unroll override
-    asks otherwise. Packages default to one burst group spanning the
-    whole iteration.
+    asks otherwise.
     """
     if not is_count(footprint) or footprint < 1:
         raise PlanError(f"register footprint must be an integer >= 1, got {footprint!r}")
@@ -244,13 +234,10 @@ def select_plan(
     width = backend.width
     if unroll is None:
         unroll = _default_unroll(footprint, backend.specialized)
-    if packages is None:
-        packages = 1
-    for name, value in (("unroll", unroll), ("packages", packages)):
-        if not is_count(value):
-            raise PlanError(f"{name} must be an integer, got {value!r}")
+    elif not is_count(unroll):
+        raise PlanError(f"unroll must be an integer, got {unroll!r}")
 
-    return UnrollPlan(unroll, width, packages, masked_length(length, unroll, width))
+    return UnrollPlan(unroll, width, masked_length(length, unroll, width))
 
 
 # Footprints in use are few; the bounds only cap a process that makes many.
@@ -267,36 +254,34 @@ def _default_unroll(footprint: int, specialized: bool) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _default_numbers(dtype, footprint: int):
-    """The default plan's backend, unroll and packages for a tree of this
-    element type and register footprint, memoized, so that a default
-    evaluation reads them without building a plan."""
+    """The default plan's backend and unroll for a tree of this element
+    type and register footprint, memoized, so that a default evaluation
+    reads them without building a plan."""
     backend = default_backend(dtype)
-    return backend, _default_unroll(footprint, backend.specialized), 1
+    return backend, _default_unroll(footprint, backend.specialized)
 
 
 TraceEvent = namedtuple("TraceEvent", ["kind", "index", "slot"])
 
 
-def _resolve(root, plan, backend, unroll, packages):
-    """The backend, unroll and packages of a call that is not a default
-    block call. With no override they are the default plan's numbers, and
-    no plan is built. Otherwise they are the plan select_plan fits to the
-    tree, the backend (the default one if none is given) and the unroll
-    and packages overrides, or a given plan's own; a given plan must equal
-    that fit. All of it is checked before anything runs."""
-    if plan is None and backend is None and unroll is None and packages is None:
+def _resolve(root, plan, backend, unroll):
+    """The backend and unroll of a call that is not a default block call.
+    With no override they are the default plan's numbers, and no plan is
+    built. Otherwise they are the plan select_plan fits to the tree, the
+    backend (the default one if none is given) and the unroll override, or
+    a given plan's own; a given plan must equal that fit. All of it is
+    checked before anything runs."""
+    if plan is None and backend is None and unroll is None:
         return _default_numbers(root.dtype, root.register_footprint)
     if backend is None:
         backend = default_backend(root.dtype)
     if plan is not None:
         if not isinstance(plan, UnrollPlan):
             raise TypeError(f"plan must be an UnrollPlan, got {type(plan).__name__}")
-        if unroll is not None or packages is not None:
+        if unroll is not None:
             raise PlanError("pass either a prebuilt plan or overrides, not both")
-        unroll, packages = plan.unroll, plan.packages
-    fitted = select_plan(
-        root.register_footprint, root.length, backend, unroll=unroll, packages=packages
-    )
+        unroll = plan.unroll
+    fitted = select_plan(root.register_footprint, root.length, backend, unroll=unroll)
     if backend.dtype != root.dtype:
         raise PlanError(
             f"backend element type {backend.dtype} does not match "
@@ -304,20 +289,20 @@ def _resolve(root, plan, backend, unroll, packages):
         )
     if plan is not None and plan != fitted:
         raise PlanError(f"{plan} does not fit this call, for which select_plan gives {fitted}")
-    return backend, fitted.unroll, fitted.packages
+    return backend, fitted.unroll
 
 
-def _run_stepped(root, backend, unroll, packages, trace=None):
+def _run_stepped(root, backend, unroll, trace=None):
     """The stepped executor: drive the node contract call by call, in
-    `unroll` slots of the backend's width, each iteration in `packages`
-    bursts, up to root.length rounded down to a multiple of U*W, then
-    single_op on the tail. It takes the plan's numbers from _resolve, not
-    a plan, so a call without overrides, call_trace's included, builds
-    none; call_trace passes `trace`, a list the events go into."""
+    `unroll` slots of the backend's width, each iteration one burst of
+    loads, one of vector_ops and one of stores, up to root.length rounded
+    down to a multiple of U*W, then single_op on the tail. It takes the
+    plan's numbers from _resolve, not a plan, so a call without
+    overrides, call_trace's included, builds none; call_trace passes
+    `trace`, a list the events go into."""
     length = root.length
     width = backend.width
     block = unroll * width
-    span = unroll // packages
     n = length & -block
     load, vector_op, store = root.load, root.vector_op, root.store
     rec = trace.append if trace is not None else None
@@ -327,14 +312,11 @@ def _run_stepped(root, backend, unroll, packages, trace=None):
     # adds into group t mod c.
     groups = _fold_lanes(block, n) // block if isinstance(root, SumNode) else 1
     slots = [{} for _ in range(groups * unroll)]
-    # each group's packages of (window start and end in the iteration, slot
-    # number, slot), built once so that the main loop does little index
-    # arithmetic, and only if it runs
+    # each group's (window start and end in the iteration, slot number,
+    # slot), in slot order, built once so that the main loop does little
+    # index arithmetic, and only if it runs
     schedules = [
-        [
-            [(k * width, (k + 1) * width, k, slots[p + k]) for k in range(first, first + span)]
-            for first in range(0, unroll, span)
-        ]
+        [(k * width, (k + 1) * width, k, slots[p + k]) for k in range(unroll)]
         for p in range(0, len(slots), unroll)
     ] if n else ()
 
@@ -347,19 +329,18 @@ def _run_stepped(root, backend, unroll, packages, trace=None):
         root.load_once(slot, backend)
 
     for i, group in zip(range(0, n, block), itertools.cycle(schedules)):
-        for package in group:
-            for lo, hi, k, slot in package:
-                if rec:
-                    rec(TraceEvent("load", i + lo, k))
-                load(i + lo, i + hi, slot)
-            for lo, hi, k, slot in package:
-                if rec:
-                    rec(TraceEvent("vector_op", i + lo, k))
-                vector_op(slot)
-            for lo, hi, k, slot in package:
-                if rec:
-                    rec(TraceEvent("store", i + lo, k))
-                store(i + lo, i + hi, slot)
+        for lo, hi, k, slot in group:
+            if rec:
+                rec(TraceEvent("load", i + lo, k))
+            load(i + lo, i + hi, slot)
+        for lo, hi, k, slot in group:
+            if rec:
+                rec(TraceEvent("vector_op", i + lo, k))
+            vector_op(slot)
+        for lo, hi, k, slot in group:
+            if rec:
+                rec(TraceEvent("store", i + lo, k))
+            store(i + lo, i + hi, slot)
 
     for j in range(n, length):
         if rec:
@@ -469,13 +450,13 @@ def _run_block_reduce(root, unroll, width):
     return np.add.accumulate(values[:n])[-1] + remainder
 
 
-def _evaluate(root, plan, backend, unroll, packages, stepped, trace=None):
+def _evaluate(root, plan, backend, unroll, stepped, trace=None):
     """Run a call that is not a default block call on the executor that
     `stepped` names, True or False; anything else raises TypeError. Only
     the stepped executor records into `trace`."""
-    backend, unroll, packages = _resolve(root, plan, backend, unroll, packages)
+    backend, unroll = _resolve(root, plan, backend, unroll)
     if stepped is True:
-        return _run_stepped(root, backend, unroll, packages, trace)
+        return _run_stepped(root, backend, unroll, trace)
     if stepped is not False:
         raise TypeError(f"stepped must be True or False, got {stepped!r}")
     if isinstance(root, SumNode):
@@ -489,7 +470,6 @@ def execute_assign(
     *,
     backend: LaneBackend = None,
     unroll: int = None,
-    packages: int = None,
     stepped: bool = False,
 ) -> None:
     """Evaluate an assignment tree, writing every destination element once.
@@ -506,11 +486,11 @@ def execute_assign(
     4,420 for 70,000 f32 elements, all at 1e30, squared)."""
     if not isinstance(root, AssignNode):
         raise TypeError("execute_assign requires an assignment root")
-    if stepped is False and plan is None and backend is None and unroll is None and packages is None:
+    if stepped is False and plan is None and backend is None and unroll is None:
         return _run_block_assign(root)
     # the block executor reads no plan or backend; an override is checked
     # all the same
-    return _evaluate(root, plan, backend, unroll, packages, stepped)
+    return _evaluate(root, plan, backend, unroll, stepped)
 
 
 def execute_reduce(
@@ -519,17 +499,16 @@ def execute_reduce(
     *,
     backend: LaneBackend = None,
     unroll: int = None,
-    packages: int = None,
     stepped: bool = False,
 ):
     """Evaluate a reduction tree and return its scalar value. `stepped` is
     True or False; anything else raises TypeError."""
     if not isinstance(root, SumNode):
         raise TypeError("execute_reduce requires a reduction root")
-    if stepped is False and plan is None and backend is None and unroll is None and packages is None:
-        backend, unroll, _ = _default_numbers(root.dtype, root.register_footprint)
+    if stepped is False and plan is None and backend is None and unroll is None:
+        backend, unroll = _default_numbers(root.dtype, root.register_footprint)
         return _run_block_reduce(root, unroll, backend.width)
-    return _evaluate(root, plan, backend, unroll, packages, stepped)
+    return _evaluate(root, plan, backend, unroll, stepped)
 
 
 def call_trace(
@@ -538,7 +517,6 @@ def call_trace(
     *,
     backend: LaneBackend = None,
     unroll: int = None,
-    packages: int = None,
 ) -> list:
     """Run a real stepped evaluation and record every contract call.
 
@@ -554,5 +532,5 @@ def call_trace(
     if not isinstance(root, (AssignNode, SumNode)):
         raise TypeError("call_trace requires an assignment or reduction root")
     trace = []
-    _evaluate(root, plan, backend, unroll, packages, True, trace)
+    _evaluate(root, plan, backend, unroll, True, trace)
     return trace

@@ -82,12 +82,11 @@ class DenseVector(Leaf):
 
     vector = property(lambda self: self, doc="The vector itself (see Leaf).")
 
-    def assign(self, expression, *, plan=None, backend=None, unroll=None, packages=None,
-               stepped=False) -> None:
+    def assign(self, expression, *, plan=None, backend=None, unroll=None, stepped=False) -> None:
         """Evaluate a lazy expression into this vector in one fused pass;
         the options are execute_assign's, forwarded by name."""
         execute_assign(AssignNode(self, expression), plan, backend=backend, unroll=unroll,
-                       packages=packages, stepped=stepped)
+                       stepped=stepped)
 
     @classmethod
     def zeros(cls, n: int, dtype="f32") -> "DenseVector":

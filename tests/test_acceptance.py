@@ -339,7 +339,7 @@ def test_reduction_error_bound_with_fold_lanes(dtype):
         for backend in (LaneBackend(dtype, 1), LaneBackend(dtype)):
             for unroll in UNROLLS:
                 width = backend.width
-                lanes = UnrollPlan(unroll, width, 1, masked_length(n, unroll, width)).fold_lanes
+                lanes = UnrollPlan(unroll, width, masked_length(n, unroll, width)).fold_lanes
                 assert lanes == 256 and n % (unroll * width) == 0
                 tighter = sum_error_bound(dtype, n, lanes, 1.0)
                 assert tighter < sum_error_bound(dtype, n, unroll * width, 1.0)

@@ -111,8 +111,8 @@ def test_select_plan_fallback_backend_degenerates():
 
 def test_select_plan_honors_explicit_overrides():
     caps = LaneBackend("f32", 4).caps
-    plan = select_plan(8, 100, caps, unroll=8, packages=4)
-    assert (plan.unroll, plan.packages) == (8, 4)
+    plan = select_plan(8, 100, caps, unroll=8)
+    assert plan.unroll == 8
     assert plan.masked_length == 96
     # explicit unroll wins even on the fallback backend
     plan = select_plan(4, 100, LaneBackend("f32", 1).caps, unroll=8)
@@ -129,10 +129,8 @@ def test_select_plan_rejects_bad_configs():
         select_plan(2, 10, caps, unroll=3)
     with pytest.raises(PlanError):
         select_plan(2, 10, caps, unroll=16)
-    with pytest.raises(PlanError):
-        select_plan(2, 10, caps, unroll=4, packages=3)
-    with pytest.raises(PlanError):
-        select_plan(2, 10, caps, unroll=2, packages=4)
+    with pytest.raises(TypeError, match=r"select_plan\(\) got an unexpected keyword argument"):
+        select_plan(2, 10, caps, packages=1)
     with pytest.raises(PlanError, match="footprint"):
         select_plan(2.5, 10, caps)
     with pytest.raises(TypeError, match="backend"):
@@ -140,21 +138,19 @@ def test_select_plan_rejects_bad_configs():
 
 
 def test_unroll_plan_invariants():
-    plan = UnrollPlan(4, 4, 2, 32)
+    plan = UnrollPlan(4, 4, 32)
     assert plan.block == 16
     with pytest.raises(PlanError):
-        UnrollPlan(3, 4, 1, 0)
+        UnrollPlan(3, 4, 0)
     with pytest.raises(PlanError):
-        UnrollPlan(4, 3, 1, 0)
+        UnrollPlan(4, 3, 0)
     with pytest.raises(PlanError):
-        UnrollPlan(4, 4, 3, 0)
+        UnrollPlan(4, 4, 8)  # not a multiple of the 16-element block
     with pytest.raises(PlanError):
-        UnrollPlan(4, 4, 1, 8)  # not a multiple of the 16-element block
+        UnrollPlan(4, 4, -16)
     with pytest.raises(PlanError):
-        UnrollPlan(4, 4, 1, -16)
-    with pytest.raises(PlanError):
-        UnrollPlan(1, True, 1, 0)  # a bool is not a width, though True == 1
-    for fields in ((2.0, 4, 1, 8), (2, 4, 1.0, 8), (2, 4, 1, 8.0), (1, 4.0, 1, 0)):
+        UnrollPlan(1, True, 0)  # a bool is not a width, though True == 1
+    for fields in ((2.0, 4, 8), (2, 4, 8.0), (1, 4.0, 0)):
         with pytest.raises(PlanError, match="must be an integer"):
             UnrollPlan(*fields)
 
@@ -162,12 +158,12 @@ def test_unroll_plan_invariants():
 def test_prebuilt_plan_is_validated_against_tree_and_backend():
     x, y = fresh_pair(20)
     root = make_axpy(1.5, x, y)
-    good = UnrollPlan(2, 4, 1, 16)
+    good = UnrollPlan(2, 4, 16)
     execute_assign(root, good, backend=LaneBackend("f32", 4))
     with pytest.raises(PlanError):
         execute_assign(root, good, backend=LaneBackend("f32", 8))
     with pytest.raises(PlanError):
-        execute_assign(root, UnrollPlan(2, 4, 1, 8), backend=LaneBackend("f32", 4))
+        execute_assign(root, UnrollPlan(2, 4, 8), backend=LaneBackend("f32", 4))
     with pytest.raises(PlanError):
         execute_assign(root, good, backend=LaneBackend("f32", 4), unroll=2)
 
@@ -178,13 +174,12 @@ def test_a_given_plan_runs_if_and_only_if_select_plan_fits_it():
     ran = 0
     for width in (1, 2, 4, 8):
         backend = LaneBackend("f32", width)
-        for unroll, packages, plan_width, masked in itertools.product(
-                UNROLL_FACTORS, (1, 2), (1, 2, 4, 8), (0, 8, 16, 20)):
-            if unroll % packages or masked % (unroll * plan_width):
+        for unroll, plan_width, masked in itertools.product(
+                UNROLL_FACTORS, (1, 2, 4, 8), (0, 8, 16, 20)):
+            if masked % (unroll * plan_width):
                 continue
-            plan = UnrollPlan(unroll, plan_width, packages, masked)
-            fitted = select_plan(root.register_footprint, 20, backend, unroll=unroll,
-                                 packages=packages)
+            plan = UnrollPlan(unroll, plan_width, masked)
+            fitted = select_plan(root.register_footprint, 20, backend, unroll=unroll)
             for stepped in (False, True):
                 if plan == fitted:
                     execute_assign(root, plan, backend=backend, stepped=stepped)
@@ -194,8 +189,8 @@ def test_a_given_plan_runs_if_and_only_if_select_plan_fits_it():
                 with pytest.raises(PlanError, match=r"UnrollPlan\(.*select_plan gives UnrollPlan"):
                     execute_assign(root, plan, backend=backend, stepped=stepped)
                 assert y.to_array().tobytes() == before.tobytes()
-    # each width fits one plan per (unroll, packages) pair, seven, on two executors
-    assert ran == 4 * 7 * 2
+    # each width fits one plan per unroll factor, four, on two executors
+    assert ran == 4 * 4 * 2
 
 
 def test_backend_dtype_must_match_tree():
@@ -214,6 +209,15 @@ def test_root_type_guards():
     for operand in (x + y, as_node(x)):
         with pytest.raises(TypeError):
             call_trace(operand)
+
+
+def test_packages_is_an_unknown_option_of_each_engine_entry_point():
+    x, y = fresh_pair(8)
+    for fn, root in ((execute_assign, make_axpy(1.0, x, y)), (execute_reduce, make_dot(x, y)),
+                     (call_trace, make_dot(x, y))):
+        unexpected = fn.__name__ + r"\(\) got an unexpected keyword argument 'packages'"
+        with pytest.raises(TypeError, match=unexpected):
+            fn(root, packages=1)
 
 
 def _unread(*args, **kwargs):
@@ -315,7 +319,7 @@ def test_block_executor_overrides_are_still_checked(kind):
     plan = select_plan(3, 20, backend.caps)
     for options in (
         {"unroll": 3},
-        {"plan": UnrollPlan(1, backend.width, 1, 32)},  # built for another length
+        {"plan": UnrollPlan(1, backend.width, 32)},  # built for another length
         {"backend": LaneBackend("f64")},
         {"plan": plan, "unroll": plan.unroll},
     ):
@@ -335,16 +339,14 @@ def test_bad_override_inputs_get_the_right_error(kind, stepped):
     }[kind]
     for options in (
         {"unroll": True},  # a bool is not an unroll factor, though True == 1
-        {"packages": True},
         {"unroll": 2.0},
-        {"packages": 1.0},
         # without a backend the default one is used, whose width is 16
-        {"plan": UnrollPlan(1, 4, 1, 20)},
+        {"plan": UnrollPlan(1, 4, 20)},
     ):
         with pytest.raises(PlanError):
             run(**options)
     with pytest.raises(TypeError):
-        run(plan=(1, 16, 1, 16))
+        run(plan=(1, 16, 16))
     with pytest.raises(TypeError, match="backend"):
         run(backend="x")
     assert y.to_array().tobytes() == before.tobytes()
@@ -482,7 +484,7 @@ def test_trace_matches_documented_two_way_unrolled_shape():
     x = DenseVector.from_values(range(16))
     d = DenseVector.zeros(16)
     root = AssignNode(as_node(d), ScaleNode(3.0, as_node(x)))
-    trace = call_trace(root, backend=LaneBackend("f32", 4), unroll=2, packages=1)
+    trace = call_trace(root, backend=LaneBackend("f32", 4), unroll=2)
     assert [(e.kind, e.index, e.slot) for e in trace] == [
         ("init", None, None),
         ("load_once", None, 0),
@@ -526,43 +528,6 @@ def test_trace_zero_length_still_brackets_with_init_and_cleanup():
     assert kinds == ["init"] + ["load_once"] * 4 + ["cleanup"]
 
 
-def _check_burst_structure(trace, unroll, packages):
-    span = unroll // packages
-    body = [e for e in trace if e.kind in ("load", "vector_op", "store")]
-    assert len(body) % (3 * span) == 0
-    for start in range(0, len(body), 3 * span):
-        package = body[start : start + 3 * span]
-        kinds = [e.kind for e in package]
-        assert kinds == ["load"] * span + ["vector_op"] * span + ["store"] * span
-        loads, stores = package[:span], package[2 * span :]
-        assert [e.slot for e in loads] == sorted(e.slot for e in loads)
-        # the same slots, in the same order, across all three bursts
-        assert [e.slot for e in package[span : 2 * span]] == [e.slot for e in loads]
-        assert [(e.index, e.slot) for e in stores] == [(e.index, e.slot) for e in loads]
-
-
-@pytest.mark.parametrize("unroll", [2, 4, 8])
-def test_burst_order_for_every_valid_package_count(unroll):
-    packages_choices = [p for p in (1, unroll // 2, unroll) if p >= 1]
-    for packages in sorted(set(packages_choices)):
-        x, y = fresh_pair(unroll * 4 * 3 + 5)
-        trace = call_trace(
-            make_axpy(2.0, x, y),
-            backend=LaneBackend("f32", 4),
-            unroll=unroll,
-            packages=packages,
-        )
-        _check_burst_structure(trace, unroll, packages)
-        assert sum(e.kind == "init" for e in trace) == 1
-        assert sum(e.kind == "load_once" for e in trace) == unroll
-        assert sum(e.kind == "cleanup" for e in trace) == 1
-        singles = [e for e in trace if e.kind == "single_op"]
-        assert len(singles) == 5
-        # remainder strictly after the last store, before cleanup
-        last_store = max(i for i, e in enumerate(trace) if e.kind == "store")
-        assert all(trace.index(e) > last_store for e in singles)
-
-
 def test_reduction_trace_ends_with_reduction_event():
     x, y = fresh_pair(20)
     x_before, y_before = x.to_array().tobytes(), y.to_array().tobytes()
@@ -585,8 +550,11 @@ def test_single_op_count_equals_tail_length():
                 backend=backend,
                 unroll=unroll,
             )
-            singles = sum(e.kind == "single_op" for e in trace)
+            kinds = [e.kind for e in trace]
+            singles = kinds.count("single_op")
             assert singles == length - masked_length(length, unroll, width)
+            # the tail runs after the last store, just before cleanup
+            assert kinds[-1 - singles :] == ["single_op"] * singles + ["cleanup"]
             assert d.to_values() == [2.0 * i for i in range(length)]
 
 
@@ -649,14 +617,9 @@ def test_executors_agree_across_strip_boundaries(dtype, unroll, width):
     v = DenseVector.zeros(1, dtype)
     strips = {axpy_strip(dtype), block_strip(make_dot(v, v), 1 << 40)}
 
-    # Around an assignment strip and a reduction strip, and past two of
-    # them plus a tail (a third strip at U*W = 1). The block executor
-    # ignores packages and the stepped executor has no strips, so both run
-    # one package at these lengths, and one package per slot only at one
-    # short length.
-    cases = [(n, [1]) for s in strips for n in (s - 1, s, s + 1, 2 * s + block + 3)]
-    cases.append((4 * block + 3, sorted({1, unroll})))
-    for n, packages_choices in cases:
+    # Around an assignment strip and a reduction strip, past two of them
+    # plus a tail (a third strip at U*W = 1), and at one short length.
+    for n in [n for s in strips for n in (s - 1, s, s + 1, 2 * s + block + 3)] + [4 * block + 3]:
         x, y = fresh_pair(n, dtype, seed=n)
         source = as_node(x) + ScaleNode(0.75, as_node(y))
         opts = dict(backend=backend, unroll=unroll)
@@ -664,18 +627,15 @@ def test_executors_agree_across_strip_boundaries(dtype, unroll, width):
         execute_assign(AssignNode(as_node(d_block), source), **opts)
         r_block = {name: execute_reduce(make(x, y), **opts)
                    for name, make in REDUCTIONS.items()}
-        for packages in packages_choices:
-            d_step = DenseVector.zeros(n, dtype)
-            execute_assign(
-                AssignNode(as_node(d_step), source), stepped=True, packages=packages, **opts
-            )
-            got, want = d_block.to_array().tobytes(), d_step.to_array().tobytes()
-            assert got == want, (n, packages)
+        d_step = DenseVector.zeros(n, dtype)
+        execute_assign(AssignNode(as_node(d_step), source), stepped=True, **opts)
+        got, want = d_block.to_array().tobytes(), d_step.to_array().tobytes()
+        assert got == want, n
 
-            for name, make in REDUCTIONS.items():
-                r_step = execute_reduce(make(x, y), stepped=True, packages=packages, **opts)
-                assert r_block[name].tobytes() == r_step.tobytes(), (name, n, packages)
-                assert type(r_block[name]) is type(r_step) is backend.dtype.type
+        for name, make in REDUCTIONS.items():
+            r_step = execute_reduce(make(x, y), stepped=True, **opts)
+            assert r_block[name].tobytes() == r_step.tobytes(), (name, n)
+            assert type(r_block[name]) is type(r_step) is backend.dtype.type
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -979,7 +939,7 @@ def test_fold_lanes_rule():
             n = masked_length(length, unroll, width)
             powers = [1 << k for k in range(9)]
             want = max([p for p in powers if block <= p and 256 * p <= n], default=block)
-            got = UnrollPlan(unroll, width, 1, n).fold_lanes
+            got = UnrollPlan(unroll, width, n).fold_lanes
             assert got == want, (unroll, width, length)
     # the default plans of dot, sum and sum(t3), whose U*W is 16 or more,
     # keep U*W lanes up to 4097 elements
@@ -989,17 +949,17 @@ def test_fold_lanes_rule():
         for dtype in DTYPES:
             plan = select_plan(root.register_footprint, 4097, default_backend(dtype))
             assert plan.fold_lanes == plan.block
-    assert UnrollPlan(1, 1, 1, 511).fold_lanes == 1
-    assert UnrollPlan(1, 1, 1, 512).fold_lanes == 2
-    assert UnrollPlan(4, 16, 1, 1 << 20).fold_lanes == 256
+    assert UnrollPlan(1, 1, 511).fold_lanes == 1
+    assert UnrollPlan(1, 1, 512).fold_lanes == 2
+    assert UnrollPlan(4, 16, 1 << 20).fold_lanes == 256
 
 
 def test_fold_lanes_are_capped_at_the_shortest_strip(monkeypatch):
     """Lanes never outgrow a strip, SCRATCH_BYTES of the widest type, so
     every strip is whole rows of lanes."""
     monkeypatch.setattr(engine, "SCRATCH_BYTES", 256)  # 64 f32, 32 f64
-    assert UnrollPlan(1, 16, 1, 1 << 20).fold_lanes == 32
-    assert UnrollPlan(8, 8, 1, 1 << 20).fold_lanes == 64  # no wider than U*W
+    assert UnrollPlan(1, 16, 1 << 20).fold_lanes == 32
+    assert UnrollPlan(8, 8, 1 << 20).fold_lanes == 64  # no wider than U*W
     n = 256 * 32 + 16 + 5
     for dtype in DTYPES:
         x, y = fresh_pair(n, dtype, seed=3)
@@ -1184,16 +1144,6 @@ def test_block_executor_makes_no_full_length_temporary(dtype):
                 # no strip array: the multiply writes the destination,
                 # so only a few Python objects are allocated
                 assert peak <= 4096, where
-
-
-def test_packages_do_not_change_results():
-    x, y = fresh_pair(515)
-    base = execute_reduce(make_dot(x, y), backend=LaneBackend("f32", 4), unroll=8)
-    for packages in (1, 2, 4, 8):
-        got = execute_reduce(
-            make_dot(x, y), backend=LaneBackend("f32", 4), unroll=8, packages=packages
-        )
-        assert got.tobytes() == base.tobytes()
 
 
 def test_exact_aliasing_source_equals_destination():

@@ -154,7 +154,7 @@ def test_options_pass_through_to_the_engine():
     for opts in (
         dict(unroll=2),
         dict(backend=LaneBackend("f32", 1)),
-        dict(backend=LaneBackend("f32", 4), unroll=8, packages=2),
+        dict(backend=LaneBackend("f32", 4), unroll=8),
         dict(stepped=True),
     ):
         assert dot(x, y, **opts) == base  # tiny exact integers, any order
@@ -197,8 +197,10 @@ def test_entry_points_take_the_engine_options_by_keyword_with_its_defaults():
 def test_an_unknown_or_positional_option_names_the_entry_point():
     for name, fn, args, _ in _entry_points():
         called = re.escape(name) + r"\(\)"
-        with pytest.raises(TypeError, match=called + " got an unexpected keyword argument 'foo'"):
-            fn(*args, foo=1)
+        for option in ("foo", "packages"):
+            unexpected = f"{called} got an unexpected keyword argument '{option}'"
+            with pytest.raises(TypeError, match=unexpected):
+                fn(*args, **{option: 1})
         with pytest.raises(TypeError, match=called + " takes"):
             fn(*args, None)  # plan, which execute_* also takes by position
 
@@ -208,8 +210,6 @@ def test_every_option_reaches_the_engine_from_every_entry_point(dtype):
     for _, fn, args, _ in _entry_points(dtype):
         with pytest.raises(PlanError, match="unsupported unroll factor 3"):
             fn(*args, unroll=3)
-        with pytest.raises(PlanError, match="packages cannot split"):
-            fn(*args, packages=3)
         with pytest.raises(TypeError, match="stepped must be True or False"):
             fn(*args, stepped="no")
         with pytest.raises(TypeError, match="backend must be a LaneBackend"):

@@ -3,15 +3,15 @@
 Each tree has at most five operator levels over + - * and scaling, draws
 its leaves from four vectors, repeats them freely, may apply an operator
 to one subtree twice and may read the destination. The block executor
-runs it at a length of two of the tree's own strips plus a tail, and both
-executors run it at a short length with a tail, on both backends and at
-every unroll (the stepped one with one package and with one per slot).
-At the short length the tree is also built with each repeated subtree,
-leaves included, as one node object used at every occurrence. An
-assignment must be bit identical to the same NumPy expression in the
-element type; a reduction must equal its terms (that NumPy expression)
-summed in the documented order. Each root's `registers` must equal the
-arrays one strip makes, and bound the memory of the long runs.
+runs it at a length of two of the tree's own strips plus a tail, and
+both executors run it at a short length with a tail, on both backends
+and at every unroll. At the short length the tree is also built with
+each repeated subtree, leaves included, as one node object used at every
+occurrence. An assignment must be bit identical to the same NumPy
+expression in the element type; a reduction must equal its terms (that
+NumPy expression) summed in the documented order. Each root's
+`registers` must equal the arrays one strip makes, and bound the memory
+of the long runs.
 """
 
 import itertools
@@ -115,7 +115,7 @@ def documented_sum(terms, unroll, width):
     from the first; the tail's terms add in order from +0, last."""
     main = masked_length(len(terms), unroll, width)
     fold = fold_lanes(unroll * width, main)
-    assert UnrollPlan(unroll, width, 1, main).fold_lanes == fold
+    assert UnrollPlan(unroll, width, main).fold_lanes == fold
     lanes = np.zeros(fold, terms.dtype)
     for lo in range(0, main, fold):
         row = terms[lo:main][:fold]
@@ -165,19 +165,16 @@ def check_tree(tree, dtype, n, rng, stepped_too):
         # so the reduction's in-place add into its terms writes no vector
         terms = child.block_op(0, n, None)
         assert not any(np.shares_memory(terms, v.read_block(0, n)) for v in vectors.values())
-    runs = [(False, 1)]
+    runs = (False, True) if stepped_too else (False,)
     builders = (build, build_shared) if stepped_too else (build,)
     for width in WIDTHS:
         backend = LaneBackend(dtype, width)
         for unroll in UNROLLS:
-            if stepped_too:
-                # packages shape only the stepped executor's bursts
-                runs = [(False, 1)] + [(True, p) for p in sorted({1, unroll})]
-            for (stepped, packages), make in itertools.product(runs, builders):
-                opts = dict(backend=backend, unroll=unroll, packages=packages)
+            for stepped, make in itertools.product(runs, builders):
+                opts = dict(backend=backend, unroll=unroll)
                 vectors = {k: DenseVector.from_values(a, dtype) for k, a in arrays.items()}
                 root = AssignNode(vectors["d"], make(tree, vectors))
-                where = (tree, n, backend.width, unroll, packages, stepped, make.__name__)
+                where = (tree, n, backend.width, unroll, stepped, make.__name__)
                 _, peak = traced(lambda: execute_assign(root, stepped=stepped, **opts),
                                  on=not stepped_too)
                 assert vectors["d"].to_array().tobytes() == expected.tobytes(), where

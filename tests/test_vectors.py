@@ -301,7 +301,7 @@ def test_evaluation_leaves_no_reference_cycle():
 def test_assign_accepts_plan_overrides():
     x = DenseVector.from_values(range(100))
     d = DenseVector.zeros(100)
-    d.assign(x * 3.0, unroll=2, packages=2)
+    d.assign(x * 3.0, unroll=2)
     assert d.to_values() == [3.0 * i for i in range(100)]
 
 
